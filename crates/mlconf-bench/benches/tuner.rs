@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mlconf_tuners::bo::BoTuner;
-use mlconf_tuners::driver::{run_tuner, StoppingRule};
 use mlconf_tuners::random::RandomSearch;
+use mlconf_tuners::session::TuningSession;
 use mlconf_tuners::tuner::{TrialHistory, Tuner};
 use mlconf_util::rng::Pcg64;
 use mlconf_workloads::evaluator::ConfigEvaluator;
@@ -83,14 +83,14 @@ fn bench_full_runs(c: &mut Criterion) {
         b.iter(|| {
             let ev = evaluator(3);
             let mut t = BoTuner::with_defaults(ev.space().clone(), 3);
-            run_tuner(&mut t, &ev, 10, StoppingRule::None, 3)
+            TuningSession::new(&ev, 10, 3).run(&mut t)
         })
     });
     group.bench_function("random", |b| {
         b.iter(|| {
             let ev = evaluator(3);
             let mut t = RandomSearch::new(ev.space().clone());
-            run_tuner(&mut t, &ev, 10, StoppingRule::None, 3)
+            TuningSession::new(&ev, 10, 3).run(&mut t)
         })
     });
     group.finish();

@@ -35,6 +35,7 @@ use mlconf_bench::experiments::e16_sparse::{
     self, CANDIDATES, LARGE_NS, REGRET_PARITY_SLACK, SUGGEST_SPEEDUP_FLOOR,
 };
 use mlconf_bench::experiments::Scale;
+use mlconf_bench::report::json_num;
 use mlconf_gp::gp::GaussianProcess;
 use mlconf_gp::hyperopt::{fit_optimized, HyperoptOptions};
 use mlconf_gp::kernel::{Kernel, KernelFamily};
@@ -76,14 +77,6 @@ fn training_data(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         })
         .collect();
     (xs, ys)
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6e}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn extend_vs_refit(n: usize) -> String {

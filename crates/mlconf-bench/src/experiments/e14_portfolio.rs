@@ -29,7 +29,7 @@ use mlconf_workloads::tunespace::default_config;
 
 use crate::oracle::find_oracle;
 use crate::replicate::replicate_executed;
-use crate::report::Table;
+use crate::report::{json_num, Table};
 
 use super::e9_robustness::SEVERITIES;
 use super::{tuner_registry, Scale, TunerEntry};
@@ -59,14 +59,6 @@ fn arms(budget: usize, max_nodes: i64) -> Vec<TunerEntry> {
         }),
     });
     arms
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6e}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// Median best/oracle for one `(severity, arm)` cell.

@@ -39,7 +39,7 @@ use mlconf_serve::{ServeConfig, Server};
 use mlconf_workloads::objective::TrialOutcome;
 
 use crate::loadgen::{schedule, summarize, Arrivals, LatencySummary};
-use crate::report::Table;
+use crate::report::{json_num, Table};
 
 use super::Scale;
 
@@ -246,14 +246,6 @@ fn run_cell(arm: &Arm, sessions: usize, rate: f64, arrivals: Arrivals, window_se
         achieved_rps: latency.count as f64 / wall.max(1e-9),
         latency,
         errors,
-    }
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6e}")
-    } else {
-        "null".to_string()
     }
 }
 

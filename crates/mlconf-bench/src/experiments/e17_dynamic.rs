@@ -52,7 +52,7 @@ use mlconf_workloads::tunespace::default_config;
 use mlconf_workloads::workload::Workload;
 
 use crate::oracle::find_oracle_at;
-use crate::report::Table;
+use crate::report::{json_num, Table};
 
 use super::Scale;
 
@@ -215,14 +215,6 @@ fn below_slo_frac(
         }
     }
     below as f64 / GRID as f64
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6e}")
-    } else {
-        "null".to_string()
-    }
 }
 
 struct CellResult {

@@ -7,8 +7,7 @@
 //! how many trials BO saves when allowed to stop on low expected
 //! improvement, and the quality it gives up.
 
-use mlconf_tuners::driver::TuneResult;
-use mlconf_tuners::session::{first_within, StopCondition};
+use mlconf_tuners::session::{first_within, StopCondition, TuneResult};
 use mlconf_workloads::evaluator::ConfigEvaluator;
 use mlconf_workloads::objective::Objective;
 

@@ -26,7 +26,7 @@ use mlconf_workloads::objective::Objective;
 
 use crate::oracle::find_oracle;
 use crate::replicate::replicate_executed;
-use crate::report::Table;
+use crate::report::{json_num, Table};
 
 use super::{tuner_registry, Scale, TunerEntry};
 
@@ -74,14 +74,6 @@ fn arms(budget: usize, max_nodes: i64) -> Vec<TunerEntry> {
         }),
     });
     arms
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6e}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// Runs E9 and returns the table plus the JSON artifact body.

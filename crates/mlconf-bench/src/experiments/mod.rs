@@ -20,13 +20,7 @@ pub mod e7_model_accuracy;
 pub mod e8_online;
 pub mod e9_robustness;
 
-use mlconf_tuners::anneal::SimulatedAnnealing;
-use mlconf_tuners::bo::BoTuner;
-use mlconf_tuners::coordinate::CoordinateDescent;
-use mlconf_tuners::ernest::ErnestTuner;
-use mlconf_tuners::halving::SuccessiveHalving;
-use mlconf_tuners::hyperband::Hyperband;
-use mlconf_tuners::random::{LatinHypercubeSearch, RandomSearch};
+use mlconf_tuners::factory::build_tuner;
 use mlconf_tuners::tuner::Tuner;
 use mlconf_workloads::evaluator::ConfigEvaluator;
 use mlconf_workloads::tunespace::default_config;
@@ -91,49 +85,29 @@ pub struct TunerEntry {
 }
 
 /// The standard tuner line-up of the comparison experiments (BO plus
-/// every baseline).
+/// every baseline), each built by [`build_tuner`] with the factory's
+/// defaults; `coord` starts from the operator default at `max_nodes`.
 pub fn tuner_registry(budget: usize, max_nodes: i64) -> Vec<TunerEntry> {
-    vec![
-        TunerEntry {
-            name: "bo",
-            build: Box::new(|ev, seed| Box::new(BoTuner::with_defaults(ev.space().clone(), seed))),
-        },
-        TunerEntry {
-            name: "random",
-            build: Box::new(|ev, _| Box::new(RandomSearch::new(ev.space().clone()))),
-        },
-        TunerEntry {
-            name: "lhs",
-            build: Box::new(|ev, _| Box::new(LatinHypercubeSearch::new(ev.space().clone(), 10))),
-        },
-        TunerEntry {
-            name: "coord",
-            build: Box::new(move |ev, _| {
-                Box::new(CoordinateDescent::new(
-                    ev.space().clone(),
-                    Some(default_config(max_nodes)),
-                ))
-            }),
-        },
-        TunerEntry {
-            name: "anneal",
-            build: Box::new(move |ev, seed| {
-                Box::new(SimulatedAnnealing::new(ev.space().clone(), budget, seed))
-            }),
-        },
-        TunerEntry {
-            name: "halving",
-            build: Box::new(|ev, _| Box::new(SuccessiveHalving::new(ev.space().clone(), 16))),
-        },
-        TunerEntry {
-            name: "hyperband",
-            build: Box::new(|ev, _| Box::new(Hyperband::new(ev.space().clone(), 9))),
-        },
-        TunerEntry {
-            name: "ernest",
-            build: Box::new(|ev, _| Box::new(ErnestTuner::new(ev.space().clone(), 15, 128))),
-        },
+    [
+        "bo",
+        "random",
+        "lhs",
+        "coord",
+        "anneal",
+        "halving",
+        "hyperband",
+        "ernest",
     ]
+    .into_iter()
+    .map(|name| TunerEntry {
+        name,
+        build: Box::new(move |ev: &ConfigEvaluator, seed: u64| -> Box<dyn Tuner> {
+            let start = Some(default_config(max_nodes));
+            build_tuner(name, ev.space().clone(), budget, seed, start)
+                .expect("line-up names are factory base names")
+        }),
+    })
+    .collect()
 }
 
 /// All experiment ids, in order.

@@ -3,9 +3,8 @@
 //! lucky runs. Each replicate is one [`TuningSession`] run.
 
 use crossbeam::thread;
-use mlconf_tuners::driver::TuneResult;
 use mlconf_tuners::executor::TrialExecutor;
-use mlconf_tuners::session::{StopCondition, TuningSession};
+use mlconf_tuners::session::{StopCondition, TuneResult, TuningSession};
 use mlconf_tuners::tuner::Tuner;
 use mlconf_workloads::evaluator::ConfigEvaluator;
 use mlconf_workloads::objective::Objective;

@@ -124,6 +124,17 @@ fn csv_line(cells: &[String]) -> String {
         .join(",")
 }
 
+/// Formats a number for the hand-laid-out `BENCH_*.json` artifacts:
+/// six-digit scientific notation, so committed artifacts diff cleanly,
+/// and `null` for non-finite values (JSON has no infinity or NaN).
+pub fn json_num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:.6e}")
+    } else {
+        "null".to_string()
+    }
+}
+
 /// Formats a float compactly for table cells.
 pub fn fmt_num(v: f64) -> String {
     if !v.is_finite() {

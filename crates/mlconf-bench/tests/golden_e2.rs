@@ -3,7 +3,7 @@
 //! Runs a small fixed scale — the quick-scale seeds {11, 22, 33}, two
 //! fast workloads, a short budget — and compares every table cell
 //! against committed values. Any change to the simulator, the
-//! evaluator's seeding, a tuner's proposal stream, or the driver's RNG
+//! evaluator's seeding, a tuner's proposal stream, or the session's RNG
 //! layout shows up here as a cell diff, which is exactly the point:
 //! those streams are load-bearing for reproducibility, and drift must
 //! be a conscious, reviewed decision (regenerate by running this test
@@ -12,7 +12,6 @@
 use mlconf_bench::experiments::e2_quality;
 use mlconf_bench::experiments::Scale;
 use mlconf_tuners::bo::BoTuner;
-use mlconf_tuners::driver::{run_tuner, run_tuner_batched, StoppingRule};
 use mlconf_tuners::factory::build_tuner;
 use mlconf_tuners::session::{
     Ask, AskTellSession, Concurrency, TrialEvent, TrialObserver, TuningSession,
@@ -73,38 +72,63 @@ impl TrialObserver for CountingObserver {
     }
 }
 
-/// The session pipeline must reproduce the legacy driver entry points
-/// bit-for-bit at the golden scale — same seeds {11, 22, 33}, same
-/// budget — sequentially and in constant-liar batches, with observers
-/// attached. Any divergence here means the refactor moved an RNG draw
-/// or reordered a suggest/observe step, which would silently invalidate
-/// every committed results table.
+/// Observers are pure consumers: attaching one must leave a plain
+/// session's result bit-identical at the golden seeds {11, 22, 33},
+/// sequentially and in constant-liar batches. A divergence here means an
+/// observer moved an RNG draw or reordered a suggest/observe step, which
+/// would silently invalidate every committed results table.
 #[test]
-fn session_is_bit_identical_to_legacy_driver_at_golden_seeds() {
+fn observers_are_inert_at_golden_seeds() {
     for seed in [11u64, 22, 33] {
         let ev = ConfigEvaluator::new(mlp_mnist(), Objective::TimeToAccuracy, 16, seed);
+        for concurrency in [
+            Concurrency::Sequential,
+            Concurrency::Batched {
+                batch_size: 4,
+                eval_threads: 0,
+            },
+        ] {
+            let mut plain_tuner = BoTuner::with_defaults(ev.space().clone(), seed);
+            let plain = TuningSession::new(&ev, 14, seed)
+                .concurrency(concurrency)
+                .run(&mut plain_tuner);
+            let mut observer = CountingObserver::default();
+            let mut observed_tuner = BoTuner::with_defaults(ev.space().clone(), seed);
+            let observed = TuningSession::new(&ev, 14, seed)
+                .concurrency(concurrency)
+                .observe_with(Box::new(&mut observer))
+                .run(&mut observed_tuner);
+            assert_eq!(
+                plain, observed,
+                "observed {concurrency:?} session diverged (seed {seed})"
+            );
+            assert!(observer.events > 0, "the observer was attached");
+        }
+    }
+}
 
-        let mut legacy_tuner = BoTuner::with_defaults(ev.space().clone(), seed);
-        let legacy = run_tuner(&mut legacy_tuner, &ev, 14, StoppingRule::None, seed);
-        let mut session_tuner = BoTuner::with_defaults(ev.space().clone(), seed);
-        let session = TuningSession::new(&ev, 14, seed)
-            .observe_with(Box::new(CountingObserver::default()))
-            .run(&mut session_tuner);
-        assert_eq!(legacy, session, "sequential session diverged (seed {seed})");
-
-        let mut legacy_tuner = BoTuner::with_defaults(ev.space().clone(), seed);
-        let legacy = run_tuner_batched(&mut legacy_tuner, &ev, 14, 4, seed);
-        for eval_threads in [1, 2, 4, 8] {
-            let mut session_tuner = BoTuner::with_defaults(ev.space().clone(), seed);
-            let session = TuningSession::new(&ev, 14, seed)
+/// Constant-liar batches preassign every trial's index, repetition and
+/// incumbent cutoff before fanning out, so a batched run is
+/// bit-identical across 1/2/4/8 evaluation threads at the golden seeds.
+#[test]
+fn batched_runs_are_thread_count_invariant_at_golden_seeds() {
+    for seed in [11u64, 22, 33] {
+        let ev = ConfigEvaluator::new(mlp_mnist(), Objective::TimeToAccuracy, 16, seed);
+        let run = |eval_threads: usize| {
+            let mut tuner = BoTuner::with_defaults(ev.space().clone(), seed);
+            TuningSession::new(&ev, 14, seed)
                 .concurrency(Concurrency::Batched {
                     batch_size: 4,
                     eval_threads,
                 })
-                .observe_with(Box::new(CountingObserver::default()))
-                .run(&mut session_tuner);
+                .run(&mut tuner)
+        };
+        let one = run(1);
+        assert_eq!(one.history.len(), 14);
+        for eval_threads in [2, 4, 8] {
             assert_eq!(
-                legacy, session,
+                one,
+                run(eval_threads),
                 "batched session diverged (seed {seed}, {eval_threads} threads)"
             );
         }

@@ -3,17 +3,16 @@
 //! concurrency, JSONL event tracing).
 
 use mlconf_sim::scenario::ScenarioScript;
+use mlconf_space::config::config_to_json;
 use mlconf_tuners::bo::BoConfig;
 use mlconf_tuners::drift::{DriftConfig, ReTunePolicy};
-use mlconf_tuners::driver::TuneResult;
 use mlconf_tuners::executor::{RetryPolicy, TimeoutPolicy, TrialExecutor};
 use mlconf_tuners::factory::{bo_spec, build_tuner};
 use mlconf_tuners::history_io::{load_csv, load_fault_plan, save_csv};
-use mlconf_tuners::session::{
-    config_json, json_escape, json_num, Concurrency, JsonlTraceSink, TuningSession,
-};
+use mlconf_tuners::session::{Concurrency, JsonlTraceSink, TuneResult, TuningSession};
 use mlconf_tuners::transfer::{SourceHistory, WarmStartBo};
 use mlconf_tuners::tuner::Tuner;
+use mlconf_util::json::{obj, Json};
 use mlconf_workloads::evaluator::ConfigEvaluator;
 use mlconf_workloads::objective::Objective;
 use mlconf_workloads::tunespace::default_config;
@@ -219,6 +218,14 @@ pub fn tune_cmd(args: &Args) -> Result<String, CliError> {
     // are enabled, so adding retries later never reorders anything else.
     executor = executor.with_seed(seed);
 
+    let mut trace = match args.get("trace") {
+        Some(path) => Some((
+            path,
+            JsonlTraceSink::to_file(std::path::Path::new(path))
+                .map_err(|e| CliError::Failed(format!("cannot create {path}: {e}")))?,
+        )),
+        None => None,
+    };
     let mut session = TuningSession::new(&evaluator, budget, seed)
         .executor(executor)
         .retune(retune_policy, DriftConfig::default());
@@ -228,9 +235,7 @@ pub fn tune_cmd(args: &Args) -> Result<String, CliError> {
             eval_threads: 0,
         });
     }
-    if let Some(path) = args.get("trace") {
-        let sink = JsonlTraceSink::to_file(std::path::Path::new(path))
-            .map_err(|e| CliError::Failed(format!("cannot create {path}: {e}")))?;
+    if let Some((_, sink)) = trace.as_mut() {
         session = session.observe_with(Box::new(sink));
     }
     let result = session.run(tuner.as_mut());
@@ -311,11 +316,17 @@ pub fn tune_cmd(args: &Args) -> Result<String, CliError> {
             evaluator.space(),
             std::io::BufWriter::new(file),
         )
-        .map_err(|e| CliError::Failed(e.to_string()))?;
+        .map_err(|e| CliError::Failed(format!("cannot write history to {path}: {e}")))?;
         out.push_str(&format!("history saved to {path}\n"));
     }
+    // A failed trace write never stops the run or the history save; it
+    // fails the command once both are done.
+    if let Some((path, sink)) = trace {
+        sink.finish()
+            .map_err(|e| CliError::Failed(format!("cannot write trace to {path}: {e}")))?;
+    }
     if args.has("json") {
-        out.push_str(&json_summary(workload_name, &evaluator, &result, failed));
+        out.push_str(&json_summary(workload_name, &evaluator, &result, failed).render());
         out.push('\n');
     }
     Ok(out)
@@ -327,56 +338,63 @@ fn json_summary(
     evaluator: &ConfigEvaluator,
     result: &TuneResult,
     failed: usize,
-) -> String {
+) -> Json {
+    let count = |n: usize| Json::Num(n as f64);
     let best = match result.history.best() {
-        Some(b) => format!(
-            "{{\"objective\":{},\"tta_secs\":{},\"cost_usd\":{},\"throughput\":{},\"config\":{}}}",
-            b.outcome.objective.map_or_else(|| "null".into(), json_num),
-            json_num(b.outcome.tta_secs),
-            json_num(b.outcome.cost_usd),
-            json_num(b.outcome.throughput),
-            config_json(&b.config)
-        ),
-        None => "null".to_owned(),
+        Some(b) => obj([
+            (
+                "objective",
+                b.outcome.objective.map_or(Json::Null, Json::Num),
+            ),
+            ("tta_secs", Json::Num(b.outcome.tta_secs)),
+            ("cost_usd", Json::Num(b.outcome.cost_usd)),
+            ("throughput", Json::Num(b.outcome.throughput)),
+            ("config", config_to_json(&b.config)),
+        ]),
+        None => Json::Null,
     };
-    format!(
-        "{{\"workload\":\"{}\",\"objective\":\"{}\",\"tuner\":\"{}\",\"trials\":{},\
-         \"failed\":{},\"stopped_early\":{},\"stop_reason\":{},\
-         \"search_cost_machine_secs\":{},\"drift_events\":{},\"retune_count\":{},\
-         \"best\":{best},\
-         \"exec\":{{\"timeouts\":{},\"crashes\":{},\"ooms\":{},\"retries\":{},\
-         \"wasted_machine_secs\":{},\"backoff_secs\":{}}}}}",
-        json_escape(workload_name),
-        json_escape(evaluator.objective().name()),
-        json_escape(&result.tuner),
-        result.history.len(),
-        failed,
-        result.stopped_early,
-        result
-            .stop_reason
-            .map_or_else(|| "null".into(), |r| format!("\"{}\"", r.name())),
-        json_num(
+    let search_cost = result
+        .history
+        .cumulative_search_cost()
+        .last()
+        .copied()
+        .unwrap_or(0.0);
+    let exec = &result.exec;
+    obj([
+        ("workload", Json::Str(workload_name.into())),
+        ("objective", Json::Str(evaluator.objective().name().into())),
+        ("tuner", Json::Str(result.tuner.clone())),
+        ("trials", count(result.history.len())),
+        ("failed", count(failed)),
+        ("stopped_early", Json::Bool(result.stopped_early)),
+        (
+            "stop_reason",
             result
-                .history
-                .cumulative_search_cost()
-                .last()
-                .copied()
-                .unwrap_or(0.0)
+                .stop_reason
+                .map_or(Json::Null, |r| Json::Str(r.name().into())),
         ),
-        result.drift_events,
-        result.retune_count,
-        result.exec.timeouts,
-        result.exec.crashes,
-        result.exec.ooms,
-        result.exec.retries,
-        json_num(result.exec.wasted_machine_secs),
-        json_num(result.exec.backoff_secs),
-    )
+        ("search_cost_machine_secs", Json::Num(search_cost)),
+        ("drift_events", count(result.drift_events)),
+        ("retune_count", count(result.retune_count)),
+        ("best", best),
+        (
+            "exec",
+            obj([
+                ("timeouts", count(exec.timeouts)),
+                ("crashes", count(exec.crashes)),
+                ("ooms", count(exec.ooms)),
+                ("retries", count(exec.retries)),
+                ("wasted_machine_secs", Json::Num(exec.wasted_machine_secs)),
+                ("backoff_secs", Json::Num(exec.backoff_secs)),
+            ]),
+        ),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use crate::commands::{run_argv, CliError};
+    use mlconf_util::json::{parse, Json};
 
     #[test]
     fn tune_small_run() {
@@ -654,17 +672,14 @@ mod tests {
             .lines()
             .find(|l| l.starts_with('{'))
             .expect("a JSON summary line");
-        assert!(json_line.ends_with('}'));
-        for key in [
-            "\"workload\":\"mlp-mnist\"",
-            "\"tuner\":\"random\"",
-            "\"trials\":5",
-            "\"stopped_early\":false",
-            "\"best\":{",
-            "\"exec\":{",
-        ] {
-            assert!(json_line.contains(key), "missing {key} in {json_line}");
-        }
+        let summary = parse(json_line).unwrap_or_else(|e| panic!("{e}: {json_line}"));
+        let field = |key: &str| summary.get(key).unwrap_or_else(|| panic!("missing {key}"));
+        assert_eq!(field("workload").as_str(), Some("mlp-mnist"));
+        assert_eq!(field("tuner").as_str(), Some("random"));
+        assert_eq!(field("trials").as_i64(), Some(5));
+        assert_eq!(field("stopped_early").as_bool(), Some(false));
+        assert!(field("best").get("config").is_some(), "{json_line}");
+        assert_eq!(field("exec").get("retries").and_then(Json::as_i64), Some(0));
         // The human-readable report is still there.
         assert!(out.contains("best configuration"));
     }

@@ -3,6 +3,8 @@
 
 use std::process::Command;
 
+use mlconf_util::json::{parse, Json};
+
 fn mlconf(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_mlconf"))
         .args(args)
@@ -158,59 +160,6 @@ fn portfolio_flag_misuse_is_a_usage_error() {
     }
 }
 
-/// Minimal JSON reader used to round-trip the trace file: parses one
-/// value, returning the rest of the input. Rejects malformed input by
-/// panicking, which is exactly what the test wants.
-fn parse_json_value(s: &str) -> &str {
-    let s = s.trim_start();
-    let mut chars = s.char_indices();
-    match chars.next().map(|(_, c)| c) {
-        Some('{') => {
-            let mut rest = s[1..].trim_start();
-            if let Some(r) = rest.strip_prefix('}') {
-                return r;
-            }
-            loop {
-                rest = parse_json_value(rest).trim_start(); // key
-                rest = rest.strip_prefix(':').expect("colon after object key");
-                rest = parse_json_value(rest).trim_start(); // value
-                match rest.as_bytes().first() {
-                    Some(b',') => rest = rest[1..].trim_start(),
-                    Some(b'}') => return &rest[1..],
-                    other => panic!("bad object continuation: {other:?}"),
-                }
-            }
-        }
-        Some('"') => {
-            let mut escaped = false;
-            for (i, c) in chars {
-                match c {
-                    _ if escaped => escaped = false,
-                    '\\' => escaped = true,
-                    '"' => return &s[i + 1..],
-                    _ => {}
-                }
-            }
-            panic!("unterminated string");
-        }
-        Some(c) if c == '-' || c.is_ascii_digit() => {
-            let end = s
-                .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-                .unwrap_or(s.len());
-            s[..end].parse::<f64>().expect("valid number");
-            &s[end..]
-        }
-        _ => {
-            for lit in ["true", "false", "null"] {
-                if let Some(r) = s.strip_prefix(lit) {
-                    return r;
-                }
-            }
-            panic!("unparseable JSON value at: {s:.40}");
-        }
-    }
-}
-
 #[test]
 fn trace_round_trips_one_event_per_lifecycle_transition() {
     let dir = std::env::temp_dir().join(format!("mlconf_bin_trace_{}", std::process::id()));
@@ -240,15 +189,13 @@ fn trace_round_trips_one_event_per_lifecycle_transition() {
     let mut improved = 0;
     for line in trace.lines() {
         // Every line must parse fully as one JSON object.
-        let rest = parse_json_value(line);
-        assert!(rest.trim().is_empty(), "trailing garbage on: {line}");
+        let event = parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
         assert!(line.starts_with("{\"event\":\""), "{line}");
-        if line.contains("\"event\":\"trial_started\"") {
-            started += 1;
-        } else if line.contains("\"event\":\"trial_completed\"") {
-            completed += 1;
-        } else if line.contains("\"event\":\"incumbent_improved\"") {
-            improved += 1;
+        match event.get("event").and_then(Json::as_str) {
+            Some("trial_started") => started += 1,
+            Some("trial_completed") => completed += 1,
+            Some("incumbent_improved") => improved += 1,
+            _ => {}
         }
     }
     // One started + one completed event per trial; at least the first
@@ -257,6 +204,31 @@ fn trace_round_trips_one_event_per_lifecycle_transition() {
     assert_eq!(completed, 7, "{trace}");
     assert!(improved >= 1, "{trace}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A write that fails (here: `/dev/full`, which rejects every write with
+/// ENOSPC) must fail the command naming the path, never report success.
+#[test]
+#[cfg(target_os = "linux")]
+fn tune_fails_loudly_when_outputs_cannot_be_written() {
+    for flag in ["--save-history", "--trace"] {
+        let out = mlconf(&[
+            "tune",
+            "--workload",
+            "mlp-mnist",
+            "--budget",
+            "3",
+            "--tuner",
+            "random",
+            flag,
+            "/dev/full",
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("/dev/full"), "{flag}: {err}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!stdout.contains("saved to"), "{flag}: {stdout}");
+    }
 }
 
 #[test]

@@ -10,6 +10,7 @@
 
 use crate::json::{obj, Json};
 use mlconf_sim::scenario::ScenarioScript;
+pub use mlconf_space::config::config_to_json;
 use mlconf_space::config::Configuration;
 use mlconf_space::param::{Param, ParamKind, ParamValue};
 use mlconf_space::space::ConfigSpace;
@@ -294,24 +295,6 @@ fn condition_to_json(c: &StopCondition) -> Json {
             ("patience", Json::Num(patience as f64)),
         ]),
     }
-}
-
-/// Encodes a configuration as a flat `{name: value}` object in space
-/// parameter order.
-pub fn config_to_json(cfg: &Configuration) -> Json {
-    Json::Obj(
-        cfg.iter()
-            .map(|(name, value)| {
-                let v = match value {
-                    ParamValue::Int(i) => Json::Num(*i as f64),
-                    ParamValue::Float(f) => Json::Num(*f),
-                    ParamValue::Str(s) => Json::Str(s.clone()),
-                    ParamValue::Bool(b) => Json::Bool(*b),
-                };
-                (name.to_owned(), v)
-            })
-            .collect(),
-    )
 }
 
 /// Decodes a configuration against `space`: every space parameter must

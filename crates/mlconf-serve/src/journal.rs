@@ -115,7 +115,16 @@ impl Journal {
     ///
     /// Propagates filesystem errors; the caller must fail the request.
     pub fn append(&mut self, op: &JournalOp) -> std::io::Result<()> {
-        let line = match op {
+        self.file.write_all(op.line().as_bytes())?;
+        self.file.flush()?;
+        self.file.sync_data()
+    }
+}
+
+impl JournalOp {
+    /// The record as one newline-terminated JSONL line.
+    pub(crate) fn line(&self) -> String {
+        let record = match self {
             JournalOp::Create { spec } => {
                 obj([("op", Json::Str("create".into())), ("spec", spec.clone())])
             }
@@ -135,11 +144,9 @@ impl Journal {
                 ("seq", Json::Num(*seq as f64)),
             ]),
         };
-        let mut buf = line.render();
-        buf.push('\n');
-        self.file.write_all(buf.as_bytes())?;
-        self.file.flush()?;
-        self.file.sync_data()
+        let mut line = record.render();
+        line.push('\n');
+        line
     }
 }
 

@@ -30,11 +30,13 @@ pub mod api;
 pub mod client;
 pub mod http;
 pub mod journal;
-pub mod json;
 pub mod quota;
 pub mod registry;
 pub mod server;
 pub mod snapshot;
 
+/// The workspace's JSON codec ([`mlconf_util::json`]), re-exported
+/// because service clients import it as `mlconf_serve::json`.
+pub use mlconf_util::json;
 pub use registry::{RegistryConfig, ServeError, ServedSession, SessionRegistry, ShardStats};
 pub use server::{ServeConfig, Server, ShutdownHandle};

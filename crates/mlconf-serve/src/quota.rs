@@ -14,22 +14,13 @@
 //! Time is injected by the caller as a monotonic seconds value, which
 //! keeps the arithmetic testable without sleeping.
 
+use mlconf_util::hash::fnv1a;
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
 /// Lock shards for the tenant → bucket map.
 const QUOTA_SHARDS: usize = 16;
-
-/// FNV-1a 64-bit over a tenant name (shard selector).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// One tenant's token bucket.
 struct Bucket {

@@ -51,6 +51,7 @@ use mlconf_tuners::drift::{DriftConfig, DriftCtl};
 use mlconf_tuners::factory::build_tuner;
 use mlconf_tuners::session::{Ask, AskTellSession};
 use mlconf_tuners::tuner::Tuner;
+use mlconf_util::hash::fnv1a;
 use mlconf_workloads::tunespace::default_config;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -509,17 +510,6 @@ impl RegistryConfig {
             max_sessions: 0,
         }
     }
-}
-
-/// FNV-1a 64-bit over a session id (shard selector — stable across
-/// restarts and shard-count changes).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// One live session plus its recency stamp.

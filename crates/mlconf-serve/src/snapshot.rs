@@ -52,6 +52,7 @@ use crate::json::{obj, parse, Json};
 use mlconf_space::space::ConfigSpace;
 use mlconf_tuners::session::{PendingTrial, SessionResumeState, StopReason};
 use mlconf_tuners::tuner::{StateValue, TrialHistory, TunerState};
+use mlconf_util::hash::fnv1a;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
@@ -103,17 +104,6 @@ pub struct SnapshotData {
     /// Duplicate-rejection state: the last applied report's dedup key
     /// and the exact response it was acknowledged with.
     pub last_report: Option<(String, Json)>,
-}
-
-/// FNV-1a 64-bit, used as the snapshot integrity checksum. Not
-/// cryptographic — it only needs to catch torn or bit-rotted files.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn u128_to_json(v: u128) -> Json {
@@ -683,8 +673,8 @@ pub fn install(files: &SessionFiles, data: &SnapshotData) -> std::io::Result<()>
     let active_tmp = files.active.with_extension("jsonl.tmp");
     {
         let mut f = File::create(&active_tmp)?;
-        let line = format!("{{\"op\":\"base\",\"seq\":{}}}\n", data.seq);
-        f.write_all(line.as_bytes())?;
+        let base = JournalOp::Base { seq: data.seq };
+        f.write_all(base.line().as_bytes())?;
         f.flush()?;
         f.sync_data()?;
     }
@@ -738,12 +728,6 @@ pub fn read_hist_prefix(path: &Path, count: u64) -> std::io::Result<Vec<JournalO
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_is_stable() {
-        // Reference value for "hello" from the FNV-1a specification.
-        assert_eq!(fnv1a(b"hello"), 0xa430d84680aabd0b);
-    }
 
     #[test]
     fn load_rejects_torn_and_corrupt_files() {

@@ -1,6 +1,7 @@
 //! A concrete configuration: an assignment of values to every parameter of
 //! a space, in the space's declaration order.
 
+use mlconf_util::json::Json;
 use serde::{Deserialize, Serialize};
 
 use crate::error::SpaceError;
@@ -181,6 +182,25 @@ impl<'a> IntoIterator for &'a Configuration {
             .collect::<Vec<_>>()
             .into_iter()
     }
+}
+
+/// Encodes a configuration as a flat `{name: value}` JSON object in
+/// parameter order — the one encoding shared by the service API, JSONL
+/// traces and the CLI's `--json` summary.
+pub fn config_to_json(cfg: &Configuration) -> Json {
+    Json::Obj(
+        cfg.iter()
+            .map(|(name, value)| {
+                let v = match value {
+                    ParamValue::Int(i) => Json::Num(*i as f64),
+                    ParamValue::Float(f) => Json::Num(*f),
+                    ParamValue::Str(s) => Json::Str(s.clone()),
+                    ParamValue::Bool(b) => Json::Bool(*b),
+                };
+                (name.to_owned(), v)
+            })
+            .collect(),
+    )
 }
 
 #[cfg(test)]

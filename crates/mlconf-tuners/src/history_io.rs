@@ -130,6 +130,9 @@ pub fn save_csv<W: Write>(
         cells.push(o.attempts.to_string());
         writeln!(w, "{}", cells.join(","))?;
     }
+    // Flush here: a buffered writer's own drop-time flush swallows
+    // errors (e.g. a full disk).
+    w.flush()?;
     Ok(())
 }
 
@@ -154,6 +157,7 @@ pub fn save_fault_plan<W: Write>(plan: &FaultPlan, mut w: W) -> Result<(), Histo
             e.kind.param()
         )?;
     }
+    w.flush()?;
     Ok(())
 }
 
@@ -334,8 +338,8 @@ pub fn load_csv<R: BufRead>(space: &ConfigSpace, r: R) -> Result<TrialHistory, H
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{run_tuner, StoppingRule};
     use crate::random::RandomSearch;
+    use crate::session::TuningSession;
     use mlconf_workloads::evaluator::ConfigEvaluator;
     use mlconf_workloads::objective::Objective;
     use mlconf_workloads::workload::{mlp_mnist, w2v_wiki};
@@ -343,7 +347,7 @@ mod tests {
     fn real_history(seed: u64) -> (TrialHistory, ConfigSpace) {
         let ev = ConfigEvaluator::new(w2v_wiki(), Objective::TimeToAccuracy, 16, seed);
         let mut t = RandomSearch::new(ev.space().clone());
-        let r = run_tuner(&mut t, &ev, 25, StoppingRule::None, seed);
+        let r = TuningSession::new(&ev, 25, seed).run(&mut t);
         (r.history, ev.space().clone())
     }
 

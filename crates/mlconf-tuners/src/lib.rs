@@ -12,8 +12,8 @@
 //!   [`coordinate`] (hill climbing), [`anneal`] (simulated annealing),
 //!   [`halving`] (successive halving under noise), and [`ernest`] (the
 //!   parametric performance-model approach).
-//! - [`session`] — the [`session::TuningSession`] pipeline: one
-//!   composable suggest→execute→observe loop with pluggable execution,
+//! - [`session`] — the [`session::TuningSession`] pipeline: the one
+//!   suggest→execute→observe loop, with pluggable execution,
 //!   concurrency, stop conditions, warm starting, and a trial-event
 //!   observer bus — plus the [`session::AskTellSession`] stepper that
 //!   lets external systems (e.g. `mlconf serve`) execute trials.
@@ -26,8 +26,6 @@
 //!   [`drift::DriftMonitor`] on repeated-measurement residuals and a
 //!   [`drift::ReTunePolicy`] that censors stale history and re-tunes
 //!   the significant knobs first (experiment E17).
-//! - [`driver`] — the legacy budgeted propose-evaluate entry points,
-//!   now thin shims over [`session`].
 //! - [`online`] — the runtime reconfiguration controller for condition
 //!   shifts (experiment E8).
 //!
@@ -35,14 +33,14 @@
 //!
 //! ```
 //! use mlconf_tuners::bo::BoTuner;
-//! use mlconf_tuners::driver::{run_tuner, StoppingRule};
+//! use mlconf_tuners::session::TuningSession;
 //! use mlconf_workloads::evaluator::ConfigEvaluator;
 //! use mlconf_workloads::objective::Objective;
 //! use mlconf_workloads::workload::mlp_mnist;
 //!
 //! let evaluator = ConfigEvaluator::new(mlp_mnist(), Objective::TimeToAccuracy, 8, 42);
 //! let mut tuner = BoTuner::with_defaults(evaluator.space().clone(), 42);
-//! let result = run_tuner(&mut tuner, &evaluator, 10, StoppingRule::None, 42);
+//! let result = TuningSession::new(&evaluator, 10, 42).run(&mut tuner);
 //! println!(
 //!     "best time-to-accuracy after {} trials: {:.0}s",
 //!     result.history.len(),
@@ -54,7 +52,6 @@ pub mod anneal;
 pub mod bo;
 pub mod coordinate;
 pub mod drift;
-pub mod driver;
 pub mod ernest;
 pub mod executor;
 pub mod factory;
@@ -73,12 +70,12 @@ pub mod tuner;
 
 pub use bo::{BoConfig, BoTuner, SurrogateMode, SurrogateModel};
 pub use drift::{DriftConfig, DriftCtl, DriftMonitor, DriftResumeState, ReTunePolicy};
-pub use driver::{run_tuner, StoppingRule, TuneResult};
 pub use executor::{ExecutedTrial, ExecutionStatus, RetryPolicy, TimeoutPolicy, TrialExecutor};
 pub use factory::{bo_spec, build_tuner, FactoryError};
 pub use portfolio::PortfolioTuner;
 pub use session::{
     Ask, AskTellError, AskTellSession, Concurrency, ExecStats, JsonlTraceSink, PendingTrial,
-    StatsAggregator, StopCondition, StopReason, TrialEvent, TrialObserver, TuningSession,
+    StatsAggregator, StopCondition, StopReason, TrialEvent, TrialObserver, TuneResult,
+    TuningSession,
 };
 pub use tuner::{TrialHistory, TrialRecord, Tuner, TunerError};

@@ -1,6 +1,5 @@
-//! The session orchestration layer: one composable pipeline owning the
-//! suggest→execute→observe loop that the four legacy `run_tuner*` entry
-//! points used to duplicate.
+//! The session orchestration layer: the one composable pipeline owning
+//! the suggest→execute→observe loop.
 //!
 //! [`TuningSession`] is a builder: pick an execution policy (passthrough
 //! or a [`TrialExecutor`] with timeouts/retries/fault plans), a
@@ -28,21 +27,19 @@
 //!
 //! # Determinism contract
 //!
-//! The session reproduces the legacy drivers bit-for-bit: the driver RNG
-//! is the same `Pcg64` stream, suggestions and observations happen in
-//! the same order, batched rounds preassign repetition indices, trial
-//! indices, and the incumbent cutoff before fanning out, and results are
+//! A run is a pure function of its seed: the driver RNG is one `Pcg64`
+//! stream, batched rounds preassign repetition indices, trial indices,
+//! and the incumbent cutoff before fanning out, and results are
 //! committed in suggestion order — so results are identical across any
-//! evaluation thread count, and identical to the pre-session
-//! `run_tuner`/`run_tuner_batched_executed` outputs (golden-tested in
+//! evaluation thread count (golden-tested in
 //! `mlconf-bench/tests/golden_e2.rs`). Observers are pure consumers:
 //! they receive borrowed events and cannot perturb the run (property-
 //! tested below).
 
 use std::collections::VecDeque;
 
-use mlconf_space::config::Configuration;
-use mlconf_space::param::ParamValue;
+use mlconf_space::config::{config_to_json, Configuration};
+use mlconf_util::json::{obj, Json};
 use mlconf_util::rng::Pcg64;
 use mlconf_workloads::evaluator::ConfigEvaluator;
 use mlconf_workloads::objective::TrialOutcome;
@@ -251,6 +248,14 @@ pub trait TrialObserver {
     fn on_event(&mut self, event: &TrialEvent<'_>);
 }
 
+/// Lends an observer to a session while the caller keeps ownership, so
+/// it can be inspected once the run ends.
+impl<T: TrialObserver + ?Sized> TrialObserver for &mut T {
+    fn on_event(&mut self, event: &TrialEvent<'_>) {
+        (**self).on_event(event);
+    }
+}
+
 /// Execution-layer statistics accumulated over one tuning run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecStats {
@@ -333,17 +338,18 @@ impl TrialObserver for StatsAggregator {
 
 /// Built-in observer: writes one JSON object per event, newline-
 /// delimited (JSONL), to any writer. Lines are self-describing via an
-/// `"event"` discriminator; see [`event_json`] for the exact shapes.
-/// Write errors are swallowed (tracing must never fail a run); the
-/// stream is flushed on drop.
+/// `"event"` discriminator; see [`TrialEvent::to_json`] for the exact
+/// shapes. A write error never fails the run: the sink keeps the first
+/// one, stops writing, and hands it back from [`JsonlTraceSink::finish`].
 pub struct JsonlTraceSink {
     out: Box<dyn std::io::Write + Send>,
+    error: Option<std::io::Error>,
 }
 
 impl JsonlTraceSink {
     /// Wraps an arbitrary writer.
     pub fn new(out: Box<dyn std::io::Write + Send>) -> Self {
-        JsonlTraceSink { out }
+        JsonlTraceSink { out, error: None }
     }
 
     /// Creates (truncating) a trace file at `path`, buffered.
@@ -351,11 +357,28 @@ impl JsonlTraceSink {
         let file = std::fs::File::create(path)?;
         Ok(Self::new(Box::new(std::io::BufWriter::new(file))))
     }
+
+    /// Flushes the stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error any write hit during the run, else the
+    /// flush's own error.
+    pub fn finish(mut self) -> std::io::Result<()> {
+        match self.error.take() {
+            Some(e) => Err(e),
+            None => self.out.flush(),
+        }
+    }
 }
 
 impl TrialObserver for JsonlTraceSink {
     fn on_event(&mut self, event: &TrialEvent<'_>) {
-        let _ = writeln!(self.out, "{}", event_json(event));
+        if self.error.is_none() {
+            if let Err(e) = writeln!(self.out, "{}", event.to_json().render()) {
+                self.error = Some(e);
+            }
+        }
     }
 }
 
@@ -365,163 +388,127 @@ impl Drop for JsonlTraceSink {
     }
 }
 
-/// Renders one event as a single-line JSON object (no trailing newline).
-pub fn event_json(event: &TrialEvent<'_>) -> String {
-    match event {
-        TrialEvent::TrialStarted {
-            trial,
-            config,
-            rep,
-            fidelity,
-        } => format!(
-            "{{\"event\":\"trial_started\",\"trial\":{trial},\"rep\":{rep},\
-             \"fidelity\":{},\"config\":{}}}",
-            json_num(*fidelity),
-            config_json(config)
-        ),
-        TrialEvent::AttemptFailed {
-            trial,
-            attempt,
-            status,
-        } => format!(
-            "{{\"event\":\"attempt_failed\",\"trial\":{trial},\"attempt\":{attempt},\
-             \"status\":\"{}\"}}",
-            status.name()
-        ),
-        TrialEvent::TrialCompleted {
-            trial,
-            config,
-            executed,
-        } => {
-            let o = &executed.outcome;
-            format!(
-                "{{\"event\":\"trial_completed\",\"trial\":{trial},\"status\":\"{}\",\
-                 \"attempts\":{},\"objective\":{},\"tta_secs\":{},\
-                 \"search_cost_machine_secs\":{},\"wasted_machine_secs\":{},\
-                 \"backoff_secs\":{},\"censored_at\":{},\"failure\":{},\"config\":{}}}",
-                executed.status.name(),
-                executed.attempts,
-                o.objective.map_or_else(|| "null".into(), json_num),
-                json_num(o.tta_secs),
-                json_num(o.search_cost_machine_secs),
-                json_num(executed.wasted_machine_secs),
-                json_num(executed.backoff_secs),
-                o.censored_at.map_or_else(|| "null".into(), json_num),
-                o.failure
-                    .as_deref()
-                    .map_or_else(|| "null".into(), |f| format!("\"{}\"", json_escape(f))),
-                config_json(config)
-            )
-        }
-        TrialEvent::IncumbentImproved {
-            trial,
-            config,
-            objective,
-        } => format!(
-            "{{\"event\":\"incumbent_improved\",\"trial\":{trial},\"objective\":{},\
-             \"config\":{}}}",
-            json_num(*objective),
-            config_json(config)
-        ),
-        TrialEvent::StoppedEarly { reason } => format!(
-            "{{\"event\":\"stopped_early\",\"reason\":\"{}\"}}",
-            reason.name()
-        ),
-        TrialEvent::ArmSelected {
-            trial,
-            arm,
-            index,
-            score,
-        } => format!(
-            "{{\"event\":\"arm_selected\",\"trial\":{trial},\"arm\":\"{}\",\
-             \"index\":{index},\"score\":{}}}",
-            json_escape(arm),
-            json_num(*score)
-        ),
-        TrialEvent::ArmBudgetReallocated { shares } => {
-            let parts: Vec<String> = shares
-                .iter()
-                .map(|(arm, share)| format!("\"{}\":{}", json_escape(arm), json_num(*share)))
-                .collect();
-            format!(
-                "{{\"event\":\"arm_budget_reallocated\",\"shares\":{{{}}}}}",
-                parts.join(",")
-            )
-        }
-        TrialEvent::DriftDetected { trial, statistic } => format!(
-            "{{\"event\":\"drift_detected\",\"trial\":{trial},\"statistic\":{}}}",
-            json_num(*statistic)
-        ),
-        TrialEvent::ReTuneStarted {
-            trial,
-            retune,
-            knobs,
-        } => {
-            let parts: Vec<String> = knobs
-                .iter()
-                .map(|k| format!("\"{}\"", json_escape(k)))
-                .collect();
-            format!(
-                "{{\"event\":\"retune_started\",\"trial\":{trial},\"retune\":{retune},\
-                 \"knobs\":[{}]}}",
-                parts.join(",")
-            )
-        }
-        TrialEvent::ReTuneCompleted { trial, retune } => {
-            format!("{{\"event\":\"retune_completed\",\"trial\":{trial},\"retune\":{retune}}}")
-        }
-    }
-}
-
-/// Renders a configuration as a JSON object of name→value pairs.
-pub fn config_json(cfg: &Configuration) -> String {
-    let parts: Vec<String> = cfg
-        .iter()
-        .map(|(name, value)| {
-            let v = match value {
-                ParamValue::Int(i) => i.to_string(),
-                ParamValue::Float(f) => json_num(*f),
-                ParamValue::Str(s) => format!("\"{}\"", json_escape(s)),
-                ParamValue::Bool(b) => b.to_string(),
-            };
-            format!("\"{}\":{v}", json_escape(name))
-        })
-        .collect();
-    format!("{{{}}}", parts.join(","))
-}
-
-/// JSON number: plain decimal for finite values, `null` otherwise
-/// (JSON has no Infinity/NaN).
-pub fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // Bare integers are valid JSON numbers, but keep floats
-        // recognizable as such for typed consumers.
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+impl TrialEvent<'_> {
+    /// The event as one JSON object whose first field, `"event"`, names
+    /// the variant — the line format of [`JsonlTraceSink`]. Non-finite
+    /// numbers render as `null`.
+    pub fn to_json(&self) -> Json {
+        let num = |n: usize| Json::Num(n as f64);
+        let opt = |v: Option<f64>| v.map_or(Json::Null, Json::Num);
+        let tag = |name: &str| ("event", Json::Str(name.into()));
+        match self {
+            TrialEvent::TrialStarted {
+                trial,
+                config,
+                rep,
+                fidelity,
+            } => obj([
+                tag("trial_started"),
+                ("trial", num(*trial)),
+                ("rep", Json::Num(*rep as f64)),
+                ("fidelity", Json::Num(*fidelity)),
+                ("config", config_to_json(config)),
+            ]),
+            TrialEvent::AttemptFailed {
+                trial,
+                attempt,
+                status,
+            } => obj([
+                tag("attempt_failed"),
+                ("trial", num(*trial)),
+                ("attempt", Json::Num(f64::from(*attempt))),
+                ("status", Json::Str(status.name().into())),
+            ]),
+            TrialEvent::TrialCompleted {
+                trial,
+                config,
+                executed,
+            } => {
+                let o = &executed.outcome;
+                obj([
+                    tag("trial_completed"),
+                    ("trial", num(*trial)),
+                    ("status", Json::Str(executed.status.name().into())),
+                    ("attempts", Json::Num(f64::from(executed.attempts))),
+                    ("objective", opt(o.objective)),
+                    ("tta_secs", Json::Num(o.tta_secs)),
+                    (
+                        "search_cost_machine_secs",
+                        Json::Num(o.search_cost_machine_secs),
+                    ),
+                    (
+                        "wasted_machine_secs",
+                        Json::Num(executed.wasted_machine_secs),
+                    ),
+                    ("backoff_secs", Json::Num(executed.backoff_secs)),
+                    ("censored_at", opt(o.censored_at)),
+                    ("failure", o.failure.clone().map_or(Json::Null, Json::Str)),
+                    ("config", config_to_json(config)),
+                ])
+            }
+            TrialEvent::IncumbentImproved {
+                trial,
+                config,
+                objective,
+            } => obj([
+                tag("incumbent_improved"),
+                ("trial", num(*trial)),
+                ("objective", Json::Num(*objective)),
+                ("config", config_to_json(config)),
+            ]),
+            TrialEvent::StoppedEarly { reason } => obj([
+                tag("stopped_early"),
+                ("reason", Json::Str(reason.name().into())),
+            ]),
+            TrialEvent::ArmSelected {
+                trial,
+                arm,
+                index,
+                score,
+            } => obj([
+                tag("arm_selected"),
+                ("trial", num(*trial)),
+                ("arm", Json::Str((*arm).into())),
+                ("index", num(*index)),
+                ("score", Json::Num(*score)),
+            ]),
+            TrialEvent::ArmBudgetReallocated { shares } => obj([
+                tag("arm_budget_reallocated"),
+                (
+                    "shares",
+                    Json::Obj(
+                        shares
+                            .iter()
+                            .map(|(arm, share)| (arm.clone(), Json::Num(*share)))
+                            .collect(),
+                    ),
+                ),
+            ]),
+            TrialEvent::DriftDetected { trial, statistic } => obj([
+                tag("drift_detected"),
+                ("trial", num(*trial)),
+                ("statistic", Json::Num(*statistic)),
+            ]),
+            TrialEvent::ReTuneStarted {
+                trial,
+                retune,
+                knobs,
+            } => obj([
+                tag("retune_started"),
+                ("trial", num(*trial)),
+                ("retune", num(*retune)),
+                (
+                    "knobs",
+                    Json::Arr(knobs.iter().map(|k| Json::Str(k.clone())).collect()),
+                ),
+            ]),
+            TrialEvent::ReTuneCompleted { trial, retune } => obj([
+                tag("retune_completed"),
+                ("trial", num(*trial)),
+                ("retune", num(*retune)),
+            ]),
         }
     }
-    out
 }
 
 /// Result of one tuning run.
@@ -1357,7 +1344,7 @@ impl<'o> AskTellSession<'o> {
 
     /// Post-suggestion acquisition conditions. Counters persist across
     /// suggestions; a missing diagnostic leaves them untouched, an
-    /// above-threshold reading resets them (legacy semantics).
+    /// above-threshold reading resets them.
     fn acquisition_stop(&mut self, tuner: &dyn Tuner) -> Option<StopReason> {
         for (i, c) in self.conditions.iter().enumerate() {
             let StopCondition::AcquisitionBelow {
@@ -1459,8 +1446,7 @@ impl<'o> AskTellSession<'o> {
         self.history.push(cfg, executed.outcome);
     }
 
-    /// Constant-liar batched rounds (the legacy
-    /// `run_tuner_batched_executed` loop, verbatim modulo events).
+    /// Constant-liar batched rounds.
     ///
     /// Within a round, each suggestion after the first is made against a
     /// *fantasy* history in which the pending suggestions were already
@@ -1613,7 +1599,7 @@ impl<'o> AskTellSession<'o> {
 mod tests {
     use super::*;
     use crate::bo::BoTuner;
-    use crate::driver::{run_tuner, run_tuner_batched_executed, StoppingRule};
+    use crate::grid::GridSearch;
     use crate::random::RandomSearch;
     use mlconf_workloads::objective::Objective;
     use mlconf_workloads::workload::mlp_mnist;
@@ -1630,34 +1616,8 @@ mod tests {
 
     impl TrialObserver for Recorder {
         fn on_event(&mut self, event: &TrialEvent<'_>) {
-            self.lines.lock().unwrap().push(event_json(event));
+            self.lines.lock().unwrap().push(event.to_json().render());
         }
-    }
-
-    #[test]
-    fn session_matches_legacy_sequential() {
-        let ev = evaluator(21);
-        let mut t1 = BoTuner::with_defaults(ev.space().clone(), 21);
-        let mut t2 = BoTuner::with_defaults(ev.space().clone(), 21);
-        let legacy = run_tuner(&mut t1, &ev, 12, StoppingRule::None, 21);
-        let session = TuningSession::new(&ev, 12, 21).run(&mut t2);
-        assert_eq!(legacy, session);
-    }
-
-    #[test]
-    fn session_matches_legacy_batched() {
-        let ev = evaluator(22);
-        let mut t1 = BoTuner::with_defaults(ev.space().clone(), 22);
-        let mut t2 = BoTuner::with_defaults(ev.space().clone(), 22);
-        let legacy =
-            run_tuner_batched_executed(&mut t1, &ev, 16, 4, 22, &TrialExecutor::passthrough(), 2);
-        let session = TuningSession::new(&ev, 16, 22)
-            .concurrency(Concurrency::Batched {
-                batch_size: 4,
-                eval_threads: 2,
-            })
-            .run(&mut t2);
-        assert_eq!(legacy, session);
     }
 
     #[test]
@@ -1688,6 +1648,11 @@ mod tests {
         let failures = r.exec.timeouts + r.exec.crashes + r.exec.ooms + r.exec.retries;
         assert!(failures > 0, "severity-2 plan should strike");
         assert_eq!(count("attempt_failed"), failures);
+        // Faults waste machine time but neither shorten the run nor
+        // stop it finding a good configuration.
+        assert!(r.exec.wasted_machine_secs > 0.0);
+        assert!(r.history.trials().iter().all(|t| t.outcome.attempts >= 1));
+        assert!(r.best_value().is_finite());
         // Full budget: no early stop.
         assert_eq!(count("stopped_early"), 0);
         assert_eq!(r.stop_reason, None);
@@ -1760,21 +1725,172 @@ mod tests {
     }
 
     #[test]
-    fn acquisition_condition_matches_legacy_rule() {
-        let ev = evaluator(26);
-        let rule = StoppingRule::AcquisitionBelow {
-            min_trials: 14,
-            threshold: f64::INFINITY,
-            patience: 2,
-        };
-        let mut t1 = BoTuner::with_defaults(ev.space().clone(), 26);
-        let mut t2 = BoTuner::with_defaults(ev.space().clone(), 26);
-        let legacy = run_tuner(&mut t1, &ev, 60, rule, 26);
-        let session = TuningSession::new(&ev, 60, 26)
-            .stop_conditions(rule.conditions())
+    fn acquisition_stop_fires() {
+        let ev = evaluator(4);
+        let mut t = BoTuner::with_defaults(ev.space().clone(), 4);
+        // Absurdly high threshold: any acquisition is "below", so the
+        // run stops right after min_trials + patience suggestions.
+        let r = TuningSession::new(&ev, 60, 4)
+            .stop_when(StopCondition::AcquisitionBelow {
+                min_trials: 14,
+                threshold: f64::INFINITY,
+                patience: 2,
+            })
+            .run(&mut t);
+        assert!(r.stopped_early);
+        assert_eq!(r.stop_reason, Some(StopReason::AcquisitionConverged));
+        assert!(
+            r.history.len() < 30,
+            "stop condition never fired ({} trials)",
+            r.history.len()
+        );
+    }
+
+    #[test]
+    fn acquisition_stop_ignored_by_diagnostics_free_tuners() {
+        let ev = evaluator(5);
+        let mut t = RandomSearch::new(ev.space().clone());
+        let r = TuningSession::new(&ev, 10, 5)
+            .stop_when(StopCondition::AcquisitionBelow {
+                min_trials: 1,
+                threshold: f64::INFINITY,
+                patience: 1,
+            })
+            .run(&mut t);
+        assert_eq!(r.history.len(), 10, "random has no acquisition to stop on");
+        assert_eq!(r.stop_reason, None);
+    }
+
+    #[test]
+    fn grid_exhaustion_ends_runs() {
+        let ev = evaluator(11);
+        for concurrency in [
+            Concurrency::Sequential,
+            Concurrency::Batched {
+                batch_size: 4,
+                eval_threads: 0,
+            },
+        ] {
+            let mut t = GridSearch::new(ev.space(), 1, 6);
+            let r = TuningSession::new(&ev, 100, 11)
+                .concurrency(concurrency)
+                .run(&mut t);
+            assert!(r.stopped_early, "{concurrency:?}");
+            assert_eq!(r.stop_reason, Some(StopReason::Exhausted));
+            assert!(r.history.len() <= 6);
+        }
+    }
+
+    #[test]
+    fn batch_of_one_equals_sequential() {
+        let ev = evaluator(8);
+        let mut t1 = BoTuner::with_defaults(ev.space().clone(), 8);
+        let mut t2 = BoTuner::with_defaults(ev.space().clone(), 8);
+        let seq = TuningSession::new(&ev, 10, 8).run(&mut t1);
+        let bat = TuningSession::new(&ev, 10, 8)
+            .concurrency(Concurrency::Batched {
+                batch_size: 1,
+                eval_threads: 0,
+            })
             .run(&mut t2);
-        assert_eq!(legacy, session);
-        assert_eq!(session.stop_reason, Some(StopReason::AcquisitionConverged));
+        assert_eq!(seq.history, bat.history);
+    }
+
+    #[test]
+    fn constant_liar_diversifies_model_phase_batches() {
+        let ev = evaluator(10);
+        let mut t = BoTuner::with_defaults(ev.space().clone(), 10);
+        // Warm up past the init design so rounds are model-driven.
+        let r = TuningSession::new(&ev, 24, 10)
+            .concurrency(Concurrency::Batched {
+                batch_size: 4,
+                eval_threads: 0,
+            })
+            .run(&mut t);
+        // Each post-init round of 4 should contain mostly distinct
+        // configurations.
+        let keys: Vec<String> = r.history.trials()[12..]
+            .iter()
+            .map(|t| t.config.key())
+            .collect();
+        for round in keys.chunks(4) {
+            let mut uniq: Vec<&String> = round.iter().collect();
+            uniq.sort();
+            uniq.dedup();
+            assert!(
+                uniq.len() >= round.len() - 1,
+                "round collapsed to {} unique of {}",
+                uniq.len(),
+                round.len()
+            );
+        }
+    }
+
+    #[test]
+    fn faulted_batched_runs_are_bit_identical_across_thread_counts() {
+        use mlconf_sim::faultplan::FaultPlan;
+        // Same seed, same plan, retries and backoff active: 1/2/4/8
+        // evaluation threads must produce bit-identical results.
+        let run = |eval_threads: usize| {
+            let ev = evaluator(14);
+            let mut t = BoTuner::with_defaults(ev.space().clone(), 14);
+            let plan = FaultPlan::scripted(16, 1.5, 14);
+            TuningSession::new(&ev, 16, 14)
+                .executor(TrialExecutor::standard(14).with_plan(plan))
+                .concurrency(Concurrency::Batched {
+                    batch_size: 4,
+                    eval_threads,
+                })
+                .run(&mut t)
+        };
+        let one = run(1);
+        for eval_threads in [2, 4, 8] {
+            assert_eq!(one, run(eval_threads), "{eval_threads} threads diverged");
+        }
+        assert_eq!(one.history.len(), 16);
+    }
+
+    #[test]
+    fn incumbent_timeout_censors_slow_configs() {
+        use crate::executor::TimeoutPolicy;
+        let ev = evaluator(16);
+        let mut t = RandomSearch::new(ev.space().clone());
+        // Tight budget-relative cutoff: anything 1.2× slower than the
+        // incumbent is killed and right-censored.
+        let ex = TrialExecutor::passthrough().with_timeout(TimeoutPolicy::IncumbentRelative {
+            factor: 1.2,
+            min_secs: 0.0,
+        });
+        let r = TuningSession::new(&ev, 25, 16).executor(ex).run(&mut t);
+        assert!(r.exec.timeouts > 0, "tight cutoff should censor something");
+        let censored: Vec<_> = r
+            .history
+            .trials()
+            .iter()
+            .filter(|t| t.outcome.is_censored())
+            .collect();
+        assert_eq!(censored.len(), r.exec.timeouts);
+        for c in &censored {
+            assert!(!c.outcome.is_ok(), "censored trials are not successes");
+            assert!(c.outcome.censored_at.unwrap() > 0.0);
+        }
+        // The incumbent itself still stands.
+        assert!(r.best_value().is_finite());
+    }
+
+    #[test]
+    fn trials_and_cost_to_within() {
+        let ev = evaluator(7);
+        let mut t = RandomSearch::new(ev.space().clone());
+        let r = TuningSession::new(&ev, 20, 7).run(&mut t);
+        let best = r.best_value();
+        let n = r.trials_to_within(best, 1.0).unwrap();
+        assert!(n <= 20);
+        let c = r.cost_to_within(best, 1.0).unwrap();
+        assert!(c > 0.0);
+        // An unreachable target returns None.
+        assert_eq!(r.trials_to_within(best / 1e9, 1.0), None);
+        assert_eq!(r.cost_to_within(best / 1e9, 1.0), None);
     }
 
     #[test]
@@ -1807,29 +1923,71 @@ mod tests {
     fn trace_lines_are_valid_jsonl() {
         let ev = evaluator(28);
         let mut t = RandomSearch::new(ev.space().clone());
-        let lines = Arc::new(Mutex::new(Vec::new()));
-        TuningSession::new(&ev, 6, 28)
-            .observe_with(Box::new(Recorder {
-                lines: Arc::clone(&lines),
-            }))
+        let path = std::env::temp_dir().join(format!("mlconf_trace_{}.jsonl", std::process::id()));
+        let mut sink = JsonlTraceSink::to_file(&path).unwrap();
+        let r = TuningSession::new(&ev, 6, 28)
+            .observe_with(Box::new(&mut sink))
             .run(&mut t);
-        for line in lines.lock().unwrap().iter() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-            assert!(line.contains("\"event\":\""), "{line}");
-            assert!(!line.contains('\n'), "one event per line: {line}");
-            // Balanced quoting: an even number of unescaped quotes.
-            let quotes = line.replace("\\\"", "").matches('"').count();
-            assert_eq!(quotes % 2, 0, "unbalanced quotes: {line}");
+        sink.finish().unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let events: Vec<Json> = text
+            .lines()
+            .map(|l| mlconf_util::json::parse(l).unwrap_or_else(|e| panic!("{e}: {l}")))
+            .collect();
+        let kind = |e: &Json| e.get("event").and_then(Json::as_str).map(str::to_owned);
+        assert!(events.iter().all(|e| kind(e).is_some()));
+        let completed: Vec<&Json> = events
+            .iter()
+            .filter(|e| kind(e).as_deref() == Some("trial_completed"))
+            .collect();
+        assert_eq!(completed.len(), r.history.len());
+        for (e, trial) in completed.iter().zip(r.history.trials()) {
+            assert_eq!(
+                e.get("trial").and_then(Json::as_i64),
+                Some(trial.index as i64)
+            );
+            let tta = trial.outcome.tta_secs;
+            match e.get("tta_secs") {
+                Some(Json::Num(x)) => {
+                    assert_eq!(x.to_bits(), tta.to_bits(), "trial {}", trial.index)
+                }
+                Some(Json::Null) => assert!(!tta.is_finite(), "trial {}", trial.index),
+                other => panic!("tta_secs missing or mistyped: {other:?}"),
+            }
         }
+        // JSON has no infinity: non-finite numbers render as null.
+        let drift = TrialEvent::DriftDetected {
+            trial: 3,
+            statistic: f64::INFINITY,
+        };
+        assert_eq!(
+            drift.to_json().render(),
+            r#"{"event":"drift_detected","trial":3,"statistic":null}"#
+        );
     }
 
     #[test]
-    fn json_helpers_escape_and_bound() {
-        assert_eq!(json_num(1.5), "1.5");
-        assert_eq!(json_num(3.0), "3.0");
-        assert_eq!(json_num(f64::INFINITY), "null");
-        assert_eq!(json_num(f64::NAN), "null");
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    fn trace_sink_keeps_the_first_write_error() {
+        struct Full;
+        impl std::io::Write for Full {
+            fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("device full"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let ev = evaluator(29);
+        let mut t = RandomSearch::new(ev.space().clone());
+        let mut sink = JsonlTraceSink::new(Box::new(Full));
+        let r = TuningSession::new(&ev, 5, 29)
+            .observe_with(Box::new(&mut sink))
+            .run(&mut t);
+        // Tracing never fails the run; the error surfaces afterwards.
+        assert_eq!(r.history.len(), 5);
+        let err = sink.finish().unwrap_err();
+        assert_eq!(err.to_string(), "device full");
     }
 
     #[test]

@@ -290,7 +290,7 @@ impl Tuner for WarmStartBo {
 mod tests {
     use super::*;
     use crate::bo::BoTuner;
-    use crate::driver::{run_tuner, StoppingRule};
+    use crate::session::TuningSession;
     use mlconf_workloads::evaluator::ConfigEvaluator;
     use mlconf_workloads::objective::Objective;
     use mlconf_workloads::workload::{cnn_cifar, lda_news, mlp_mnist};
@@ -300,7 +300,7 @@ mod tests {
         // history.
         let ev = ConfigEvaluator::new(lda_news(), Objective::TimeToAccuracy, 16, seed);
         let mut t = BoTuner::with_defaults(ev.space().clone(), seed);
-        let r = run_tuner(&mut t, &ev, 25, StoppingRule::None, seed);
+        let r = TuningSession::new(&ev, 25, seed).run(&mut t);
         (r.history, ev.space().clone())
     }
 
@@ -358,10 +358,10 @@ mod tests {
                 20,
                 seed,
             );
-            let warm_r = run_tuner(&mut warm, &ev, budget, StoppingRule::None, seed + 100);
+            let warm_r = TuningSession::new(&ev, budget, seed + 100).run(&mut warm);
 
             let mut cold = BoTuner::with_defaults(ev.space().clone(), seed);
-            let cold_r = run_tuner(&mut cold, &ev, budget, StoppingRule::None, seed + 100);
+            let cold_r = TuningSession::new(&ev, budget, seed + 100).run(&mut cold);
 
             if warm_r.best_value() <= cold_r.best_value() {
                 wins += 1;
@@ -377,7 +377,7 @@ mod tests {
     fn empty_sources_degrade_to_plain_bo_behaviour() {
         let ev = ConfigEvaluator::new(mlp_mnist(), Objective::TimeToAccuracy, 16, 7);
         let mut t = WarmStartBo::new(ev.space().clone(), BoConfig::default(), vec![], 20, 7);
-        let r = run_tuner(&mut t, &ev, 12, StoppingRule::None, 7);
+        let r = TuningSession::new(&ev, 12, 7).run(&mut t);
         assert_eq!(r.history.len(), 12);
         assert!(r.best_value().is_finite());
     }
@@ -388,14 +388,13 @@ mod tests {
         let source = SourceHistory::from_history(&src_hist, &src_space).expect("usable");
         let ev = ConfigEvaluator::new(mlp_mnist(), Objective::TimeToAccuracy, 16, 9);
         let mut t = WarmStartBo::new(ev.space().clone(), BoConfig::default(), vec![source], 5, 9);
-        let r = run_tuner(&mut t, &ev, 8, StoppingRule::None, 9);
+        let r = TuningSession::new(&ev, 8, 9).run(&mut t);
         assert_eq!(r.history.len(), 8);
         assert!(t.sources.is_empty(), "sources must be dropped at handoff");
     }
 
     #[test]
     fn session_warm_start_seeds_from_source_best_configs() {
-        use crate::session::TuningSession;
         let (src_hist, src_space) = tuned_source(11);
         let source = SourceHistory::from_history(&src_hist, &src_space).expect("usable");
         let ev = ConfigEvaluator::new(cnn_cifar(), Objective::TimeToAccuracy, 16, 11);
@@ -420,7 +419,7 @@ mod tests {
             let ev = ConfigEvaluator::new(cnn_cifar(), Objective::TimeToAccuracy, 16, 4);
             let mut t =
                 WarmStartBo::new(ev.space().clone(), BoConfig::default(), vec![source], 20, 4);
-            run_tuner(&mut t, &ev, 8, StoppingRule::None, 4)
+            TuningSession::new(&ev, 8, 4).run(&mut t)
         };
         assert_eq!(run(), run());
     }

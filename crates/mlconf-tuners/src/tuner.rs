@@ -154,7 +154,7 @@ impl TrialHistory {
     }
 }
 
-/// Diagnostics a tuner may expose to the driver's stopping rules.
+/// Diagnostics a tuner may expose to the session's stop conditions.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TunerDiagnostics {
     /// The acquisition value of the most recent suggestion (model-based
@@ -371,8 +371,8 @@ impl TunerState {
 
 /// A configuration tuner: proposes the next configuration to try.
 ///
-/// Tuners are driven by [`run_tuner`](crate::driver::run_tuner): the
-/// driver evaluates each suggestion and appends it to the shared
+/// Tuners are driven by a [`TuningSession`](crate::session::TuningSession):
+/// the session evaluates each suggestion and appends it to the shared
 /// [`TrialHistory`] before the next `suggest` call, so stateless tuners
 /// can be written purely against the history.
 pub trait Tuner {
@@ -384,7 +384,7 @@ pub trait Tuner {
     /// # Errors
     ///
     /// Returns [`TunerError::Exhausted`] when the tuner has nothing left
-    /// to propose; the driver treats this as early termination.
+    /// to propose; the session treats this as early termination.
     fn suggest(
         &mut self,
         history: &TrialHistory,

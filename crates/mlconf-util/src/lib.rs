@@ -29,6 +29,8 @@
 //! ```
 
 pub mod dist;
+pub mod hash;
+pub mod json;
 pub mod linalg;
 pub mod matrix;
 pub mod optim;

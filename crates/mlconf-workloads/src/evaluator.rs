@@ -12,6 +12,7 @@ use mlconf_sim::runconfig::{Arch, RunConfig};
 use mlconf_sim::scenario::{EnvState, ScenarioScript};
 use mlconf_space::config::Configuration;
 use mlconf_space::space::ConfigSpace;
+use mlconf_util::hash::fnv1a;
 use mlconf_util::rng::Pcg64;
 
 use crate::objective::{score, Objective, TrialOutcome, PROVISIONING_SECS};
@@ -381,17 +382,6 @@ fn env_adjusted(rc: &RunConfig, env: &EnvState) -> RunConfig {
     .expect("env-adjusted run config stays valid")
 }
 
-/// FNV-1a hash — stable across platforms and Rust versions, unlike
-/// `DefaultHasher`, so trial seeds are reproducible everywhere.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -667,14 +657,5 @@ mod tests {
             jammed > clear,
             "an 85% bandwidth cut must hurt: {clear} -> {jammed}"
         );
-    }
-
-    #[test]
-    fn fnv_distinguishes_keys() {
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
-        assert_ne!(fnv1a(b""), fnv1a(b"a"));
-        // Pinned value so the hash (and thus all experiment seeds) never
-        // silently changes.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
     }
 }

@@ -13,10 +13,10 @@
 use mlconf::tuners::anneal::SimulatedAnnealing;
 use mlconf::tuners::bo::BoTuner;
 use mlconf::tuners::coordinate::CoordinateDescent;
-use mlconf::tuners::driver::{run_tuner, StoppingRule, TuneResult};
 use mlconf::tuners::ernest::ErnestTuner;
 use mlconf::tuners::halving::SuccessiveHalving;
 use mlconf::tuners::random::{LatinHypercubeSearch, RandomSearch};
+use mlconf::tuners::session::{TuneResult, TuningSession};
 use mlconf::tuners::tuner::Tuner;
 use mlconf::workloads::evaluator::ConfigEvaluator;
 use mlconf::workloads::objective::Objective;
@@ -47,7 +47,7 @@ fn main() {
 
     let mut results: Vec<TuneResult> = tuners
         .iter_mut()
-        .map(|t| run_tuner(t.as_mut(), &evaluator, BUDGET, StoppingRule::None, SEED))
+        .map(|t| TuningSession::new(&evaluator, BUDGET, SEED).run(t.as_mut()))
         .collect();
     results.sort_by(|a, b| a.best_value().partial_cmp(&b.best_value()).unwrap());
 

@@ -14,7 +14,7 @@
 //! ```
 
 use mlconf::tuners::bo::BoTuner;
-use mlconf::tuners::driver::{run_tuner, StoppingRule};
+use mlconf::tuners::session::TuningSession;
 use mlconf::workloads::evaluator::ConfigEvaluator;
 use mlconf::workloads::objective::Objective;
 use mlconf::workloads::workload::cnn_cifar;
@@ -44,7 +44,7 @@ fn main() {
     for (label, objective) in objectives {
         let evaluator = ConfigEvaluator::new(cnn_cifar(), objective, MAX_NODES, SEED);
         let mut tuner = BoTuner::with_defaults(evaluator.space().clone(), SEED);
-        let result = run_tuner(&mut tuner, &evaluator, BUDGET, StoppingRule::None, SEED);
+        let result = TuningSession::new(&evaluator, BUDGET, SEED).run(&mut tuner);
         let Some(best) = result.history.best() else {
             println!("{label:<20} found nothing feasible");
             continue;

@@ -9,7 +9,7 @@
 //! ```
 
 use mlconf::tuners::bo::BoTuner;
-use mlconf::tuners::driver::{run_tuner, StoppingRule};
+use mlconf::tuners::session::TuningSession;
 use mlconf::workloads::evaluator::ConfigEvaluator;
 use mlconf::workloads::objective::Objective;
 use mlconf::workloads::tunespace::default_config;
@@ -38,7 +38,7 @@ fn main() {
 
     // Let the tuner search.
     let mut tuner = BoTuner::with_defaults(evaluator.space().clone(), SEED);
-    let result = run_tuner(&mut tuner, &evaluator, BUDGET, StoppingRule::None, SEED);
+    let result = TuningSession::new(&evaluator, BUDGET, SEED).run(&mut tuner);
 
     println!("\ntrials:");
     for trial in result.history.trials() {

@@ -13,7 +13,7 @@
 //! ```
 
 use mlconf::tuners::bo::{BoConfig, BoTuner};
-use mlconf::tuners::driver::{run_tuner, StoppingRule};
+use mlconf::tuners::session::TuningSession;
 use mlconf::tuners::transfer::{SourceHistory, WarmStartBo};
 use mlconf::workloads::evaluator::ConfigEvaluator;
 use mlconf::workloads::objective::Objective;
@@ -27,7 +27,7 @@ const TARGET_BUDGET: usize = 10;
 fn tune_source(workload: Workload, label: &str) -> SourceHistory {
     let ev = ConfigEvaluator::new(workload, Objective::TimeToAccuracy, MAX_NODES, SEED);
     let mut tuner = BoTuner::with_defaults(ev.space().clone(), SEED);
-    let r = run_tuner(&mut tuner, &ev, SOURCE_BUDGET, StoppingRule::None, SEED);
+    let r = TuningSession::new(&ev, SOURCE_BUDGET, SEED).run(&mut tuner);
     println!(
         "source `{label}` tuned: best {:.0}s over {} trials",
         r.best_value(),
@@ -45,7 +45,7 @@ fn main() {
     let ev = ConfigEvaluator::new(cnn_cifar(), Objective::TimeToAccuracy, MAX_NODES, SEED + 1);
 
     let mut cold = BoTuner::with_defaults(ev.space().clone(), SEED);
-    let cold_r = run_tuner(&mut cold, &ev, TARGET_BUDGET, StoppingRule::None, SEED + 1);
+    let cold_r = TuningSession::new(&ev, TARGET_BUDGET, SEED + 1).run(&mut cold);
 
     let mut warm = WarmStartBo::new(
         ev.space().clone(),
@@ -54,7 +54,7 @@ fn main() {
         TARGET_BUDGET * 2,
         SEED,
     );
-    let warm_r = run_tuner(&mut warm, &ev, TARGET_BUDGET, StoppingRule::None, SEED + 1);
+    let warm_r = TuningSession::new(&ev, TARGET_BUDGET, SEED + 1).run(&mut warm);
 
     let mut mismatched = WarmStartBo::new(
         ev.space().clone(),
@@ -63,13 +63,7 @@ fn main() {
         TARGET_BUDGET * 2,
         SEED,
     );
-    let mis_r = run_tuner(
-        &mut mismatched,
-        &ev,
-        TARGET_BUDGET,
-        StoppingRule::None,
-        SEED + 1,
-    );
+    let mis_r = TuningSession::new(&ev, TARGET_BUDGET, SEED + 1).run(&mut mismatched);
 
     println!("\n{:<34} {:>14}", "strategy", "best tta(s)");
     for (label, r) in [

@@ -12,7 +12,7 @@
 //! ```
 
 use mlconf::tuners::bo::BoTuner;
-use mlconf::tuners::driver::{run_tuner, StoppingRule};
+use mlconf::tuners::session::TuningSession;
 use mlconf::workloads::evaluator::ConfigEvaluator;
 use mlconf::workloads::objective::Objective;
 use mlconf::workloads::tunespace::default_config;
@@ -33,7 +33,7 @@ fn main() {
         let default_outcome = evaluator.evaluate(&default_config(MAX_NODES), 0);
 
         let mut tuner = BoTuner::with_defaults(evaluator.space().clone(), SEED);
-        let result = run_tuner(&mut tuner, &evaluator, BUDGET, StoppingRule::None, SEED);
+        let result = TuningSession::new(&evaluator, BUDGET, SEED).run(&mut tuner);
         let Some(best) = result.history.best() else {
             println!(
                 "{:<16} {:>12.0} {:>12} — nothing feasible found",

@@ -22,13 +22,13 @@
 //! | [`gp`] | `mlconf-gp` | GP regression, acquisitions, hyperparameter fitting |
 //! | [`sim`] | `mlconf-sim` | the cluster: machines, network, PS/all-reduce engines, stragglers, OOM, failures |
 //! | [`workloads`] | `mlconf-workloads` | the job suite, convergence laws, objectives, evaluator |
-//! | [`tuners`] | `mlconf-tuners` | BO tuner + baselines, experiment driver, online controller |
+//! | [`tuners`] | `mlconf-tuners` | BO tuner + baselines, tuning sessions, online controller |
 //!
 //! ## Quickstart
 //!
 //! ```
 //! use mlconf::tuners::bo::BoTuner;
-//! use mlconf::tuners::driver::{run_tuner, StoppingRule};
+//! use mlconf::tuners::session::TuningSession;
 //! use mlconf::workloads::evaluator::ConfigEvaluator;
 //! use mlconf::workloads::objective::Objective;
 //! use mlconf::workloads::workload::mlp_mnist;
@@ -37,7 +37,7 @@
 //! // of up to 8 machines.
 //! let evaluator = ConfigEvaluator::new(mlp_mnist(), Objective::TimeToAccuracy, 8, 42);
 //! let mut tuner = BoTuner::with_defaults(evaluator.space().clone(), 42);
-//! let result = run_tuner(&mut tuner, &evaluator, 10, StoppingRule::None, 42);
+//! let result = TuningSession::new(&evaluator, 10, 42).run(&mut tuner);
 //!
 //! let best = result.history.best().expect("at least one feasible trial");
 //! println!("best config: {}", best.config);
@@ -64,7 +64,7 @@ mod tests {
         let _ = crate::gp::kernel::KernelFamily::Matern52;
         let _ = crate::sim::cluster::default_catalog();
         let _ = crate::workloads::workload::suite();
-        let _ = crate::tuners::driver::StoppingRule::None;
+        let _ = crate::tuners::session::Concurrency::Sequential;
         assert!(!crate::VERSION.is_empty());
     }
 }

@@ -4,10 +4,10 @@
 use mlconf::tuners::anneal::SimulatedAnnealing;
 use mlconf::tuners::bo::BoTuner;
 use mlconf::tuners::coordinate::CoordinateDescent;
-use mlconf::tuners::driver::{run_tuner, StoppingRule};
 use mlconf::tuners::ernest::ErnestTuner;
 use mlconf::tuners::halving::SuccessiveHalving;
 use mlconf::tuners::random::{LatinHypercubeSearch, RandomSearch};
+use mlconf::tuners::session::TuningSession;
 use mlconf::tuners::tuner::Tuner;
 use mlconf::workloads::evaluator::ConfigEvaluator;
 use mlconf::workloads::objective::Objective;
@@ -36,7 +36,7 @@ fn every_tuner_completes_a_small_run() {
     ];
     for t in &mut tuners {
         let name = t.name().to_owned();
-        let r = run_tuner(t.as_mut(), &ev, 14, StoppingRule::None, 1);
+        let r = TuningSession::new(&ev, 14, 1).run(t.as_mut());
         assert_eq!(r.history.len(), 14, "{name} did not fill its budget");
         assert!(
             r.best_value().is_finite(),
@@ -64,7 +64,7 @@ fn tuned_config_beats_default_on_most_workloads() {
         let ev = ConfigEvaluator::new(workload, Objective::TimeToAccuracy, 16, 9);
         let default_outcome = ev.evaluate(&default_config(16), 0);
         let mut tuner = BoTuner::with_defaults(ev.space().clone(), 9);
-        let r = run_tuner(&mut tuner, &ev, 18, StoppingRule::None, 9);
+        let r = TuningSession::new(&ev, 18, 9).run(&mut tuner);
         total += 1;
         if r.best_value() <= default_outcome.tta_secs * 1.05 {
             wins += 1;
@@ -81,7 +81,7 @@ fn runs_are_reproducible_across_identical_invocations() {
     let mk = || {
         let ev = evaluator(17);
         let mut t = BoTuner::with_defaults(ev.space().clone(), 17);
-        run_tuner(&mut t, &ev, 12, StoppingRule::None, 17)
+        TuningSession::new(&ev, 12, 17).run(&mut t)
     };
     let a = mk();
     let b = mk();
@@ -93,8 +93,8 @@ fn different_seeds_explore_differently() {
     let ev = evaluator(2);
     let mut t1 = BoTuner::with_defaults(ev.space().clone(), 100);
     let mut t2 = BoTuner::with_defaults(ev.space().clone(), 200);
-    let a = run_tuner(&mut t1, &ev, 10, StoppingRule::None, 100);
-    let b = run_tuner(&mut t2, &ev, 10, StoppingRule::None, 200);
+    let a = TuningSession::new(&ev, 10, 100).run(&mut t1);
+    let b = TuningSession::new(&ev, 10, 200).run(&mut t2);
     let keys_a: Vec<String> = a.history.trials().iter().map(|t| t.config.key()).collect();
     let keys_b: Vec<String> = b.history.trials().iter().map(|t| t.config.key()).collect();
     assert_ne!(keys_a, keys_b);
@@ -112,7 +112,7 @@ fn failed_trials_carry_reasons_and_cost() {
         3,
     );
     let mut rt = RandomSearch::new(ev.space().clone());
-    let r = run_tuner(&mut rt, &ev, 40, StoppingRule::None, 3);
+    let r = TuningSession::new(&ev, 40, 3).run(&mut rt);
     let failures: Vec<_> = r
         .history
         .trials()
