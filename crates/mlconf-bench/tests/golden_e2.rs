@@ -137,14 +137,12 @@ fn batched_runs_are_thread_count_invariant_at_golden_seeds() {
 
 /// Records the arm names of every `ArmSelected` event, in order.
 #[derive(Default)]
-struct ArmTrace {
-    arms: std::sync::Arc<std::sync::Mutex<Vec<String>>>,
-}
+struct ArmTrace(Vec<String>);
 
 impl TrialObserver for ArmTrace {
     fn on_event(&mut self, event: &TrialEvent<'_>) {
         if let TrialEvent::ArmSelected { arm, .. } = event {
-            self.arms.lock().unwrap().push((*arm).to_owned());
+            self.0.push((*arm).to_owned());
         }
     }
 }
@@ -163,10 +161,9 @@ fn portfolio_session_matches_manual_ask_tell_at_golden_seeds() {
 
         let mut pipeline_tuner =
             build_tuner("portfolio", ev.space().clone(), budget, seed, None).unwrap();
-        let trace = ArmTrace::default();
-        let arms = trace.arms.clone();
+        let mut trace = ArmTrace::default();
         let pipeline = TuningSession::new(&ev, budget, seed)
-            .observe_with(Box::new(trace))
+            .observe_with(Box::new(&mut trace))
             .run(pipeline_tuner.as_mut());
 
         let mut manual_tuner =
@@ -189,7 +186,7 @@ fn portfolio_session_matches_manual_ask_tell_at_golden_seeds() {
             *machine.history(),
             "seed {seed}: manual ask/tell diverged from the session pipeline"
         );
-        let arms = arms.lock().unwrap();
+        let arms = trace.0;
         assert_eq!(arms.len(), budget, "seed {seed}: one selection per trial");
         for arm in ["bo", "ernest"] {
             assert!(
@@ -254,17 +251,15 @@ fn portfolio_arm_selection_is_thread_count_invariant_at_golden_seeds() {
         let run_at = |eval_threads: usize| {
             let mut tuner =
                 build_tuner("portfolio", ev.space().clone(), budget, seed, None).unwrap();
-            let trace = ArmTrace::default();
-            let arms = trace.arms.clone();
+            let mut trace = ArmTrace::default();
             let result = TuningSession::new(&ev, budget, seed)
                 .concurrency(Concurrency::Batched {
                     batch_size: 4,
                     eval_threads,
                 })
-                .observe_with(Box::new(trace))
+                .observe_with(Box::new(&mut trace))
                 .run(tuner.as_mut());
-            let selected = arms.lock().unwrap().clone();
-            (result, selected)
+            (result, trace.0)
         };
         let reference = run_at(1);
         for eval_threads in [2, 4, 8] {

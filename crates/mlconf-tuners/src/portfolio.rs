@@ -671,14 +671,14 @@ mod tests {
         use super::*;
         use crate::session::{Concurrency, TrialEvent, TrialObserver, TuningSession};
         use proptest::prelude::*;
-        use std::sync::{Arc, Mutex};
 
         /// Collects the arm name of every `ArmSelected` event.
-        struct ArmTrace(Arc<Mutex<Vec<String>>>);
+        #[derive(Default)]
+        struct ArmTrace(Vec<String>);
         impl TrialObserver for ArmTrace {
             fn on_event(&mut self, event: &TrialEvent<'_>) {
                 if let TrialEvent::ArmSelected { arm, .. } = event {
-                    self.0.lock().unwrap().push((*arm).to_owned());
+                    self.0.push((*arm).to_owned());
                 }
             }
         }
@@ -706,13 +706,12 @@ mod tests {
                 let ev = evaluator(seed);
                 let run_at = |eval_threads: usize| {
                     let mut tuner = portfolio(spec, budget, seed);
-                    let selected = Arc::new(Mutex::new(Vec::new()));
+                    let mut trace = ArmTrace::default();
                     let result = TuningSession::new(&ev, budget, seed)
                         .concurrency(Concurrency::Batched { batch_size: 3, eval_threads })
-                        .observe_with(Box::new(ArmTrace(selected.clone())))
+                        .observe_with(Box::new(&mut trace))
                         .run(tuner.as_mut());
-                    let arms = selected.lock().unwrap().clone();
-                    (result, arms)
+                    (result, trace.0)
                 };
                 let reference = run_at(1);
                 prop_assert_eq!(reference.1.len(), budget);

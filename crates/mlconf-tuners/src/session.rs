@@ -1603,20 +1603,18 @@ mod tests {
     use crate::random::RandomSearch;
     use mlconf_workloads::objective::Objective;
     use mlconf_workloads::workload::mlp_mnist;
-    use std::sync::{Arc, Mutex};
 
     fn evaluator(seed: u64) -> ConfigEvaluator {
         ConfigEvaluator::new(mlp_mnist(), Objective::TimeToAccuracy, 8, seed)
     }
 
     /// Observer that copies every event into owned strings.
-    struct Recorder {
-        lines: Arc<Mutex<Vec<String>>>,
-    }
+    #[derive(Default)]
+    struct Recorder(Vec<String>);
 
     impl TrialObserver for Recorder {
         fn on_event(&mut self, event: &TrialEvent<'_>) {
-            self.lines.lock().unwrap().push(event.to_json().render());
+            self.0.push(event.to_json().render());
         }
     }
 
@@ -1625,15 +1623,13 @@ mod tests {
         use mlconf_sim::faultplan::FaultPlan;
         let ev = evaluator(23);
         let mut t = RandomSearch::new(ev.space().clone());
-        let lines = Arc::new(Mutex::new(Vec::new()));
+        let mut recorder = Recorder::default();
         let plan = FaultPlan::scripted(15, 2.0, 23);
         let r = TuningSession::new(&ev, 15, 23)
             .executor(TrialExecutor::standard(23).with_plan(plan))
-            .observe_with(Box::new(Recorder {
-                lines: Arc::clone(&lines),
-            }))
+            .observe_with(Box::new(&mut recorder))
             .run(&mut t);
-        let lines = lines.lock().unwrap();
+        let lines = recorder.0;
         let count = |kind: &str| {
             lines
                 .iter()
@@ -1662,17 +1658,10 @@ mod tests {
     fn stats_aggregator_mirrors_result() {
         let ev = evaluator(24);
         let mut t = RandomSearch::new(ev.space().clone());
-        let stats = Arc::new(Mutex::new(StatsAggregator::default()));
-        struct Shared(Arc<Mutex<StatsAggregator>>);
-        impl TrialObserver for Shared {
-            fn on_event(&mut self, event: &TrialEvent<'_>) {
-                self.0.lock().unwrap().on_event(event);
-            }
-        }
+        let mut stats = StatsAggregator::default();
         let r = TuningSession::new(&ev, 10, 24)
-            .observe_with(Box::new(Shared(Arc::clone(&stats))))
+            .observe_with(Box::new(&mut stats))
             .run(&mut t);
-        let stats = stats.lock().unwrap();
         assert_eq!(stats.exec, r.exec);
         assert_eq!(stats.started, 10);
         assert_eq!(stats.completed, 10);
@@ -2275,16 +2264,14 @@ mod tests {
 
             let ev = evaluator(seed).with_scenario(harsh_shift_at(t_shift));
             let mut t = BoTuner::with_defaults(ev.space().clone(), seed);
-            let lines = Arc::new(Mutex::new(Vec::new()));
+            let mut recorder = Recorder::default();
             let r = TuningSession::new(&ev, 30, seed)
                 .retune(ReTunePolicy::OnDrift, eager())
-                .observe_with(Box::new(Recorder {
-                    lines: Arc::clone(&lines),
-                }))
+                .observe_with(Box::new(&mut recorder))
                 .run(&mut t);
             assert!(r.drift_events >= 1, "harsh shift went undetected");
             assert!(r.retune_count >= 1, "detection without re-tune");
-            let lines = lines.lock().unwrap();
+            let lines = recorder.0;
             let count = |kind: &str| {
                 lines
                     .iter()
