@@ -57,8 +57,8 @@ pub const SUGGEST_SPEEDUP_FLOOR: f64 = 20.0;
 /// The large-n shapes probed by the suggest-cost half.
 pub const LARGE_NS: [usize; 2] = [2_000, 10_000];
 
-/// Candidate pool per suggest — matches `BoConfig::default().candidates`.
-pub const CANDIDATES: usize = 256;
+/// Candidate pool per suggest — the BO tuner's own.
+pub const CANDIDATES: usize = mlconf_tuners::bo::CANDIDATES;
 
 /// Dimensionality of the synthetic large-n training sets (matches the
 /// tuning space's feature width used across the GP benches).

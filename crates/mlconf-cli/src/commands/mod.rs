@@ -91,7 +91,8 @@ TUNE FLAGS:
   --json             append a machine-readable JSON summary
   --trace F          write a JSONL trial-event trace to F
   --save-history F   write the trial history CSV to F
-  --warm-start F     seed the BO surrogate from a saved history CSV
+  --warm-start F     add a saved history CSV to BO as prior data (composes
+                     with bo: specs, e.g. --tuner bo:surrogate=sparse)
   --parallel K       evaluate K trials concurrently (constant-liar batches)
   --trial-timeout S  kill trials running past S simulated seconds (0 = off)
   --max-retries N    retry crashed trials up to N times with backoff   [default 0]

@@ -4,13 +4,13 @@
 
 use mlconf_sim::scenario::ScenarioScript;
 use mlconf_space::config::config_to_json;
-use mlconf_tuners::bo::BoConfig;
+use mlconf_tuners::bo::{BoConfig, BoTuner};
 use mlconf_tuners::drift::{DriftConfig, ReTunePolicy};
 use mlconf_tuners::executor::{RetryPolicy, TimeoutPolicy, TrialExecutor};
 use mlconf_tuners::factory::{bo_spec, build_tuner};
 use mlconf_tuners::history_io::{load_csv, load_fault_plan, save_csv};
 use mlconf_tuners::session::{Concurrency, JsonlTraceSink, TuneResult, TuningSession};
-use mlconf_tuners::transfer::{SourceHistory, WarmStartBo};
+use mlconf_tuners::transfer::SourceHistory;
 use mlconf_tuners::tuner::Tuner;
 use mlconf_util::json::{obj, Json};
 use mlconf_workloads::evaluator::ConfigEvaluator;
@@ -92,23 +92,6 @@ pub fn tune_cmd(args: &Args) -> Result<String, CliError> {
         .map_err(|e| CliError::Usage(format!("--retune-policy: {e}")))?;
     let space = evaluator.space().clone();
 
-    // Optional transfer source: a history CSV from a previous run.
-    let warm_source = match args.get("warm-start") {
-        None => None,
-        Some(path) => {
-            let file = std::fs::File::open(path)
-                .map_err(|e| CliError::Failed(format!("cannot open {path}: {e}")))?;
-            let loaded = load_csv(&space, std::io::BufReader::new(file))
-                .map_err(|e| CliError::Failed(format!("{path}: {e}")))?;
-            let source = SourceHistory::from_history(&loaded, &space).ok_or_else(|| {
-                CliError::Failed(format!(
-                    "{path}: too few successful trials to warm-start from"
-                ))
-            })?;
-            Some(source)
-        }
-    };
-
     // `--portfolio-arms bo,lhs` is sugar for `--tuner portfolio:bo,lhs`.
     let tuner_name = match (args.get_or("tuner", "bo"), args.get("portfolio-arms")) {
         (name, None) => name.to_owned(),
@@ -146,27 +129,10 @@ pub fn tune_cmd(args: &Args) -> Result<String, CliError> {
             format!("bo:{}", opts.join(","))
         }
     };
-    let mut tuner: Box<dyn Tuner + Send> = match warm_source {
-        Some(source) => {
-            let config = if tuner_name == "bo" {
-                BoConfig::default()
-            } else {
-                bo_spec(&tuner_name)
-                    .map_err(|e| CliError::Usage(e.to_string()))?
-                    .ok_or_else(|| {
-                        CliError::Usage(format!(
-                            "--warm-start only applies to --tuner bo, not `{tuner_name}`"
-                        ))
-                    })?
-            };
-            Box::new(WarmStartBo::new(
-                space,
-                config,
-                vec![source],
-                budget.max(1) * 2,
-                seed,
-            ))
-        }
+    // `--warm-start F` attaches a saved history as prior data to the
+    // same BO tuner `--tuner bo[:spec]` builds. The tuner is checked
+    // before the file is opened, so a misuse is reported as such.
+    let mut tuner: Box<dyn Tuner + Send> = match args.get("warm-start") {
         None => build_tuner(
             &tuner_name,
             space,
@@ -175,6 +141,28 @@ pub fn tune_cmd(args: &Args) -> Result<String, CliError> {
             Some(default_config(max_nodes)),
         )
         .map_err(|e| CliError::Usage(e.to_string()))?,
+        Some(path) => {
+            let config = match tuner_name.as_str() {
+                "bo" => BoConfig::default(),
+                spec => bo_spec(spec)
+                    .map_err(|e| CliError::Usage(e.to_string()))?
+                    .ok_or_else(|| {
+                        CliError::Usage(format!(
+                            "--warm-start only applies to --tuner bo, not `{tuner_name}`"
+                        ))
+                    })?,
+            };
+            let file = std::fs::File::open(path)
+                .map_err(|e| CliError::Failed(format!("cannot open {path}: {e}")))?;
+            let loaded = load_csv(&space, std::io::BufReader::new(file))
+                .map_err(|e| CliError::Failed(format!("{path}: {e}")))?;
+            let source = SourceHistory::from_history(&loaded, &space).ok_or_else(|| {
+                CliError::Failed(format!(
+                    "{path}: too few successful trials to warm-start from"
+                ))
+            })?;
+            Box::new(BoTuner::new(space, config, seed).with_prior(vec![source]))
+        }
     };
 
     let parallel: usize = args.get_parse("parallel", 1)?;
@@ -394,7 +382,11 @@ fn json_summary(
 #[cfg(test)]
 mod tests {
     use crate::commands::{run_argv, CliError};
+    use mlconf_tuners::history_io::{load_csv, save_csv};
+    use mlconf_tuners::tuner::TrialHistory;
     use mlconf_util::json::{parse, Json};
+    use mlconf_workloads::tunespace::standard_space;
+    use std::path::{Path, PathBuf};
 
     #[test]
     fn tune_small_run() {
@@ -454,12 +446,12 @@ mod tests {
         assert!(out.contains("# 2"));
     }
 
-    #[test]
-    fn save_then_warm_start_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("mlconf_cli_test_{}", std::process::id()));
+    /// A fresh temp dir holding `history.csv`: a short random-search
+    /// history of lda-news, the warm-start source of the tests below.
+    fn dir_with_source_history(tag: &str) -> (PathBuf, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("mlconf_{tag}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("history.csv");
-        let path_s = path.to_str().unwrap();
         let out = run_argv(&[
             "tune",
             "--workload",
@@ -469,13 +461,24 @@ mod tests {
             "--tuner",
             "random",
             "--save-history",
-            path_s,
+            path.to_str().unwrap(),
         ])
         .unwrap();
-        assert!(out.contains("history saved"));
-        assert!(path.exists());
+        assert!(out.contains("history saved"), "{out}");
+        (dir, path)
+    }
+
+    fn load_history(path: &Path) -> TrialHistory {
+        let file = std::fs::File::open(path).unwrap();
+        load_csv(&standard_space(32), std::io::BufReader::new(file)).unwrap()
+    }
+
+    #[test]
+    fn save_then_warm_start_roundtrip() {
+        let (dir, path) = dir_with_source_history("cli_test");
         // Warm-start a related workload from the saved history.
-        let out2 = run_argv(&[
+        let warm_path = dir.join("warm.csv");
+        let out = run_argv(&[
             "tune",
             "--workload",
             "cnn-cifar",
@@ -484,10 +487,72 @@ mod tests {
             "--tuner",
             "bo",
             "--warm-start",
-            path_s,
+            path.to_str().unwrap(),
+            "--save-history",
+            warm_path.to_str().unwrap(),
         ])
         .unwrap();
-        assert!(out2.contains("bo-transfer"), "{out2}");
+        assert!(out.contains("5 trials"), "{out}");
+        // The prior's initial design opens with the source's best
+        // configuration.
+        let (source, warm) = (load_history(&path), load_history(&warm_path));
+        assert_eq!(warm.trials()[0].config, source.best().unwrap().config);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn warm_start_composes_with_a_sparse_bo_spec() {
+        let (dir, path) = dir_with_source_history("warm_sparse");
+        // Forced-sparse mode fits every model-phase round, source points
+        // included, on the sparse path.
+        let out = run_argv(&[
+            "tune",
+            "--workload",
+            "cnn-cifar",
+            "--budget",
+            "10",
+            "--tuner",
+            "bo:surrogate=sparse,threshold=4",
+            "--warm-start",
+            path.to_str().unwrap(),
+        ])
+        .unwrap();
+        assert!(out.contains("10 trials"), "{out}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn warm_start_rejects_non_finite_objectives_naming_the_line() {
+        let (dir, path) = dir_with_source_history("warm_nonfinite");
+        let history = load_history(&path);
+        let first_ok = history.trials().iter().position(|t| t.outcome.is_ok());
+        let first_ok = first_ok.expect("a successful trial");
+        for bad in [f64::INFINITY, f64::NAN] {
+            let mut doctored = TrialHistory::new();
+            for (i, t) in history.trials().iter().enumerate() {
+                let mut outcome = t.outcome.clone();
+                if i == first_ok {
+                    outcome.objective = Some(bad);
+                }
+                doctored.push(t.config.clone(), outcome);
+            }
+            let file = std::fs::File::create(&path).unwrap();
+            save_csv(&doctored, &standard_space(32), file).unwrap();
+            let err = run_argv(&[
+                "tune",
+                "--workload",
+                "cnn-cifar",
+                "--budget",
+                "5",
+                "--warm-start",
+                path.to_str().unwrap(),
+            ]);
+            let line = format!("line {}", first_ok + 1);
+            match err {
+                Err(CliError::Failed(msg)) => assert!(msg.contains(&line), "{bad}: {msg}"),
+                other => panic!("{bad}: expected a failure naming {line}, got {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -639,7 +704,7 @@ mod tests {
                 "--warm-start",
                 "/nonexistent.csv"
             ]),
-            Err(CliError::Usage(_)) | Err(CliError::Failed(_))
+            Err(CliError::Usage(_))
         ));
         assert!(matches!(
             run_argv(&[

@@ -124,12 +124,12 @@ impl ServeConfig {
     }
 }
 
-/// One IO shard's accept-side state: the handoff mailbox the accept
+/// One IO shard's accept-side state: the mailbox the accept
 /// thread pushes new connections into, and the connection count that
 /// bounds it (owned + handed-off, so shedding is decided without
 /// touching the shard thread).
 struct IoShard {
-    handoff: Mutex<Vec<TcpStream>>,
+    inbox: Mutex<Vec<TcpStream>>,
     conns: AtomicUsize,
 }
 
@@ -197,7 +197,7 @@ impl Server {
         let io_shards: Vec<Arc<IoShard>> = (0..nshards)
             .map(|_| {
                 Arc::new(IoShard {
-                    handoff: Mutex::new(Vec::new()),
+                    inbox: Mutex::new(Vec::new()),
                     conns: AtomicUsize::new(0),
                 })
             })
@@ -289,7 +289,7 @@ fn accept_loop(listener: &TcpListener, ctx: &Ctx) {
             // load-then-add never overshoots the capacity.
             if shard.conns.load(Ordering::Relaxed) < ctx.capacity {
                 shard.conns.fetch_add(1, Ordering::Relaxed);
-                lock_recover(&shard.handoff).push(stream.take().expect("stream not yet placed"));
+                lock_recover(&shard.inbox).push(stream.take().expect("stream not yet placed"));
                 break;
             }
         }
@@ -345,8 +345,8 @@ fn shard_loop(k: usize, ctx: &Ctx) {
     let mut conns: Vec<Conn> = Vec::new();
     loop {
         {
-            let mut handoff = lock_recover(&shard.handoff);
-            for stream in handoff.drain(..) {
+            let mut inbox = lock_recover(&shard.inbox);
+            for stream in inbox.drain(..) {
                 if stream.set_nonblocking(true).is_ok() {
                     let _ = stream.set_nodelay(true);
                     conns.push(Conn::new(stream));

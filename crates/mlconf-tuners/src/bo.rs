@@ -8,7 +8,7 @@
 //!    encoding, fit to `log₁₀(objective)` (systems objectives span
 //!    decades; the log transform makes the GP's Gaussian noise model
 //!    honest). Kernel hyperparameters are re-optimized by marginal
-//!    likelihood every `hyperopt_every` trials.
+//!    likelihood every third trial.
 //! 3. **Failures as penalties** — OOM/unmappable trials carry real
 //!    information (the cliffs are exactly what the tuner must avoid);
 //!    they enter the GP with a penalized target above the worst observed
@@ -19,9 +19,17 @@
 //! 5. **Feasibility repair** — the chosen point is decoded onto the
 //!    nearest feasible configuration; exact duplicates of evaluated
 //!    configurations fall back to exploration.
+//!
+//! **Transfer as prior data.** [`BoTuner::with_prior`] attaches source
+//! workloads' histories ([`SourceHistory`]). A non-empty prior changes
+//! exactly three things: the initial design opens with each source's two
+//! best configurations and defaults to 3 points; the target trials are
+//! z-scored (as the sources are) and the source points appended to the
+//! training data; and the GP's noise floor rises from 1e-4 to 0.25.
+//! Everything else is the same loop.
 
 use mlconf_gp::acquisition::{maximize_acquisition, Acquisition};
-use mlconf_gp::gp::{GaussianProcess, PredictWorkspace, Prediction};
+use mlconf_gp::gp::GaussianProcess;
 use mlconf_gp::hyperopt::{fit_optimized, HyperoptOptions};
 use mlconf_gp::kernel::{Kernel, KernelFamily};
 use mlconf_gp::sparse::{SparseConfig, SparseGaussianProcess};
@@ -31,6 +39,7 @@ use mlconf_space::space::ConfigSpace;
 use mlconf_util::rng::Pcg64;
 use mlconf_util::sampling::latin_hypercube;
 
+use crate::transfer::{mean_std, SourceHistory};
 use crate::tuner::{
     StateError, StateValue, TrialHistory, Tuner, TunerDiagnostics, TunerError, TunerState,
 };
@@ -71,95 +80,16 @@ impl SurrogateMode {
     }
 }
 
-/// The surrogate a [`BoTuner`] fit for one suggest round: either the
-/// exact GP over the full history or the sparse subset-of-data model.
-/// Both sides implement [`Surrogate`], so acquisition maximization is
-/// oblivious to which one it scores against.
-#[derive(Debug, Clone)]
-pub enum SurrogateModel {
-    /// Exact GP over all training points.
-    Exact(GaussianProcess),
-    /// Exact GP over a bounded, deterministically selected subset.
-    Sparse(SparseGaussianProcess),
-}
-
-impl SurrogateModel {
-    /// Number of points the model actually conditions on.
-    pub fn n_train(&self) -> usize {
-        match self {
-            SurrogateModel::Exact(gp) => gp.n_train(),
-            SurrogateModel::Sparse(sp) => Surrogate::n_train(sp),
-        }
-    }
-
-    /// Log marginal likelihood of the fitted model.
-    pub fn log_marginal_likelihood(&self) -> f64 {
-        match self {
-            SurrogateModel::Exact(gp) => gp.log_marginal_likelihood(),
-            SurrogateModel::Sparse(sp) => Surrogate::log_marginal_likelihood(sp),
-        }
-    }
-
-    /// Observation-noise variance of the fitted model.
-    pub fn noise_variance(&self) -> f64 {
-        match self {
-            SurrogateModel::Exact(gp) => gp.noise_variance(),
-            SurrogateModel::Sparse(sp) => Surrogate::noise_variance(sp),
-        }
-    }
-
-    /// `true` when this round used the sparse path.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self, SurrogateModel::Sparse(_))
-    }
-}
-
-impl Surrogate for SurrogateModel {
-    fn predict_with(&self, x_star: &[f64], ws: &mut PredictWorkspace) -> Prediction {
-        match self {
-            SurrogateModel::Exact(gp) => gp.predict_with(x_star, ws),
-            SurrogateModel::Sparse(sp) => sp.predict_with(x_star, ws),
-        }
-    }
-
-    fn kernel(&self) -> &Kernel {
-        match self {
-            SurrogateModel::Exact(gp) => gp.kernel(),
-            SurrogateModel::Sparse(sp) => Surrogate::kernel(sp),
-        }
-    }
-
-    fn n_train(&self) -> usize {
-        SurrogateModel::n_train(self)
-    }
-
-    fn noise_variance(&self) -> f64 {
-        SurrogateModel::noise_variance(self)
-    }
-
-    fn log_marginal_likelihood(&self) -> f64 {
-        SurrogateModel::log_marginal_likelihood(self)
-    }
-}
-
 /// Configuration of the BO tuner.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoConfig {
     /// Number of initial space-filling trials (0 = auto: `3·d`, capped
-    /// to 12).
+    /// to 12, or 3 with a prior).
     pub init_design: usize,
     /// Acquisition function.
     pub acquisition: Acquisition,
     /// Kernel family for the surrogate.
     pub kernel: KernelFamily,
-    /// Re-optimize kernel hyperparameters every this many trials
-    /// (1 = every trial).
-    pub hyperopt_every: usize,
-    /// Acquisition candidate-set size.
-    pub candidates: usize,
-    /// Penalty factor for failed trials: they enter the GP at
-    /// `worst_success × factor` (in objective space).
-    pub failure_penalty_factor: f64,
     /// Treat right-censored (timed-out) trials as lower-bound
     /// observations: they enter the GP at `censored_at ×`
     /// [`CENSORED_INFLATION`] instead of the blanket failure penalty.
@@ -183,15 +113,32 @@ pub struct BoConfig {
 /// meant to avoid.
 pub const CENSORED_INFLATION: f64 = 1.5;
 
+/// Kernel hyperparameters are re-optimized every this many trials.
+const HYPEROPT_EVERY: usize = 3;
+
+/// Acquisition candidate-set size per suggest.
+pub const CANDIDATES: usize = 256;
+
+/// Failed trials enter the GP at `worst_success ×` this factor (in
+/// objective space).
+const FAILURE_PENALTY_FACTOR: f64 = 2.0;
+
+/// Default initial-design size with a prior: the sources' best
+/// configurations replace most of the space-filling exploration.
+const PRIOR_INIT_DESIGN: usize = 3;
+
+/// Noise-variance search range (standardized units) with a prior. The
+/// raised floor stands in for source/target mismatch, so fresh target
+/// observations quickly outweigh source points; refits between
+/// hyperopts use the floor.
+const PRIOR_NOISE: (f64, f64) = (0.25, 1.5);
+
 impl Default for BoConfig {
     fn default() -> Self {
         BoConfig {
             init_design: 0,
             acquisition: Acquisition::default_ei(),
             kernel: KernelFamily::Matern52,
-            hyperopt_every: 3,
-            candidates: 256,
-            failure_penalty_factor: 2.0,
             censored_as_bound: true,
             surrogate: SurrogateMode::Auto,
             sparse_threshold: 512,
@@ -206,6 +153,9 @@ pub struct BoTuner {
     space: ConfigSpace,
     config: BoConfig,
     name: String,
+    /// Source histories transferred in as prior data (see the module
+    /// docs); empty for plain BO.
+    prior: Vec<SourceHistory>,
     pending_init: Option<Vec<Configuration>>,
     /// Kernel carried between refits (warm start).
     kernel: Option<Kernel>,
@@ -233,6 +183,7 @@ impl BoTuner {
             space,
             config,
             name,
+            prior: Vec::new(),
             pending_init: None,
             kernel: None,
             cached_gp: None,
@@ -249,24 +200,37 @@ impl BoTuner {
         Self::new(space, BoConfig::default(), seed)
     }
 
+    /// Attaches source histories as prior data (see the module docs).
+    /// An empty prior leaves the tuner plain BO, bit for bit. A tuner
+    /// with a prior does not checkpoint: a snapshot would drop the
+    /// sources.
+    pub fn with_prior(mut self, prior: Vec<SourceHistory>) -> Self {
+        self.prior = prior;
+        self
+    }
+
     fn init_design_size(&self) -> usize {
         if self.config.init_design > 0 {
             self.config.init_design
+        } else if !self.prior.is_empty() {
+            PRIOR_INIT_DESIGN
         } else {
             (3 * self.space.dims()).clamp(4, 12)
         }
     }
 
     /// Builds GP training data from the history: encoded configurations
-    /// and log-transformed objectives with failures penalized.
-    fn training_data(&self, history: &TrialHistory) -> (Vec<Vec<f64>>, Vec<f64>) {
+    /// and log-transformed objectives with failures penalized, plus the
+    /// incumbent on the same scale. With a prior the target values are
+    /// z-scored and the source points appended.
+    fn training_data(&self, history: &TrialHistory) -> (Vec<Vec<f64>>, Vec<f64>, f64) {
         let successes: Vec<f64> = history
             .successes()
             .filter_map(|t| t.outcome.objective)
             .collect();
         let worst = successes.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let penalty = if worst.is_finite() {
-            (worst * self.config.failure_penalty_factor).max(worst + 1e-9)
+            (worst * FAILURE_PENALTY_FACTOR).max(worst + 1e-9)
         } else {
             1.0 // no successes yet: any constant works
         };
@@ -288,7 +252,37 @@ impl BoTuner {
             xs.push(enc);
             ys.push(y.max(1e-12).log10());
         }
-        (xs, ys)
+        let mut best = history.best_value().max(1e-12).log10();
+        if !self.prior.is_empty() {
+            // Sources carry z-scores, so only their shape transfers;
+            // put the target trials on the same scale.
+            let (mean, std) = mean_std(&ys);
+            let std = std.max(1e-6);
+            for y in &mut ys {
+                *y = (*y - mean) / std;
+            }
+            best = (best - mean) / std;
+            for source in &self.prior {
+                xs.extend(source.encoded.iter().cloned());
+                ys.extend(&source.z_scores);
+            }
+        }
+        (xs, ys, best)
+    }
+
+    /// The noise variance for refits between hyperopts, and the hyperopt
+    /// options: the defaults, or with a prior the [`PRIOR_NOISE`] range.
+    fn noise_model(&self) -> (f64, HyperoptOptions) {
+        let defaults = HyperoptOptions::default();
+        if self.prior.is_empty() {
+            return (1e-4, defaults);
+        }
+        let (floor, ceiling) = PRIOR_NOISE;
+        let options = HyperoptOptions {
+            log_noise_bounds: (floor.ln(), ceiling.ln()),
+            ..defaults
+        };
+        (floor, options)
     }
 
     /// Appends the tail of `(xs, ys)` to the cached surrogate when the
@@ -313,57 +307,63 @@ impl BoTuner {
         cached.extend(&xs[n..], &ys[n..]).ok()
     }
 
-    /// Fits this round's surrogate: the exact GP, or — when the mode and
-    /// history length call for it — the sparse subset model. The exact
-    /// branch is byte-for-byte the pre-sparse implementation (including
-    /// its `hyperopt_rng` consumption), so configurations that never
-    /// cross the threshold reproduce historical results exactly.
-    fn fit_surrogate(
+    fn hyperopt_due(&self, history_len: usize) -> bool {
+        self.kernel.is_none() || history_len >= self.trials_at_last_hyperopt + HYPEROPT_EVERY
+    }
+
+    /// Re-optimizes the kernel by marginal likelihood, starting from the
+    /// carried kernel, and carries the result forward.
+    fn hyperopt(
         &mut self,
         xs: &[Vec<f64>],
         ys: &[f64],
         history_len: usize,
-    ) -> Option<SurrogateModel> {
+    ) -> Option<GaussianProcess> {
+        let template = self
+            .kernel
+            .clone()
+            .unwrap_or_else(|| Kernel::new(self.config.kernel, self.space.dims()));
+        let (_, options) = self.noise_model();
+        let gp = fit_optimized(&template, xs, ys, &options, &mut self.hyperopt_rng).ok()?;
+        self.kernel = Some(gp.kernel().clone());
+        self.trials_at_last_hyperopt = history_len;
+        Some(gp)
+    }
+
+    /// Fits this round's surrogate into the cache: the exact GP, or —
+    /// when the mode and history length call for it — the sparse subset
+    /// model; read it back with [`Self::model`]. `None` when the fit
+    /// failed (the cache is then left as it was). The exact branch is
+    /// byte-for-byte the pre-sparse implementation (including its
+    /// `hyperopt_rng` consumption), so configurations that never cross
+    /// the threshold reproduce historical results exactly.
+    fn fit_surrogate(&mut self, xs: &[Vec<f64>], ys: &[f64], history_len: usize) -> Option<()> {
         let use_sparse = match self.config.surrogate {
             SurrogateMode::Exact => false,
             SurrogateMode::Sparse => true,
             SurrogateMode::Auto => history_len >= self.config.sparse_threshold,
         };
         if use_sparse {
-            return self
-                .fit_sparse(xs, ys, history_len)
-                .map(SurrogateModel::Sparse);
-        }
-        let dims = self.space.dims();
-        let needs_hyperopt = self.kernel.is_none()
-            || history_len >= self.trials_at_last_hyperopt + self.config.hyperopt_every;
-        let gp = if needs_hyperopt {
-            let template = self
-                .kernel
-                .clone()
-                .unwrap_or_else(|| Kernel::new(self.config.kernel, dims));
-            let gp = fit_optimized(
-                &template,
-                xs,
-                ys,
-                &HyperoptOptions::default(),
-                &mut self.hyperopt_rng,
-            )
-            .ok()?;
-            self.kernel = Some(gp.kernel().clone());
-            self.trials_at_last_hyperopt = history_len;
-            gp
+            self.cached_sparse = Some(self.fit_sparse(xs, ys, history_len)?);
+            self.cached_gp = None;
         } else {
-            let kernel = self.kernel.clone().expect("checked above");
-            match self.try_extend_cached(&kernel, xs, ys) {
-                Some(gp) => gp,
-                None => GaussianProcess::fit(kernel, xs.to_vec(), ys.to_vec(), 1e-4).ok()?,
-            }
-        };
-        self.cached_gp = Some(gp.clone());
-        self.cached_sparse = None;
+            let gp = if self.hyperopt_due(history_len) {
+                self.hyperopt(xs, ys, history_len)?
+            } else {
+                let kernel = self.kernel.clone().expect("checked by hyperopt_due");
+                match self.try_extend_cached(&kernel, xs, ys) {
+                    Some(gp) => gp,
+                    None => {
+                        let (noise, _) = self.noise_model();
+                        GaussianProcess::fit(kernel, xs.to_vec(), ys.to_vec(), noise).ok()?
+                    }
+                }
+            };
+            self.cached_gp = Some(gp);
+            self.cached_sparse = None;
+        }
         self.cached_at = history_len;
-        Some(SurrogateModel::Exact(gp))
+        Some(())
     }
 
     /// The sparse path: select the conditioning subset, then fit (with
@@ -375,30 +375,13 @@ impl BoTuner {
         ys: &[f64],
         history_len: usize,
     ) -> Option<SparseGaussianProcess> {
-        let dims = self.space.dims();
-        let needs_hyperopt = self.kernel.is_none()
-            || history_len >= self.trials_at_last_hyperopt + self.config.hyperopt_every;
         let selected = self.config.sparse.select(xs, ys);
         let sub_x: Vec<Vec<f64>> = selected.iter().map(|&i| xs[i].clone()).collect();
         let sub_y: Vec<f64> = selected.iter().map(|&i| ys[i]).collect();
-        let gp = if needs_hyperopt {
-            let template = self
-                .kernel
-                .clone()
-                .unwrap_or_else(|| Kernel::new(self.config.kernel, dims));
-            let gp = fit_optimized(
-                &template,
-                &sub_x,
-                &sub_y,
-                &HyperoptOptions::default(),
-                &mut self.hyperopt_rng,
-            )
-            .ok()?;
-            self.kernel = Some(gp.kernel().clone());
-            self.trials_at_last_hyperopt = history_len;
-            gp
+        let gp = if self.hyperopt_due(history_len) {
+            self.hyperopt(&sub_x, &sub_y, history_len)?
         } else {
-            let kernel = self.kernel.clone().expect("checked above");
+            let kernel = self.kernel.clone().expect("checked by hyperopt_due");
             // Carry the learned noise forward; crossing the threshold
             // mid-stride inherits it from the exact cache.
             let noise = self
@@ -406,14 +389,19 @@ impl BoTuner {
                 .as_ref()
                 .map(Surrogate::noise_variance)
                 .or_else(|| self.cached_gp.as_ref().map(|g| g.noise_variance()))
-                .unwrap_or(1e-4);
+                .unwrap_or_else(|| self.noise_model().0);
             GaussianProcess::fit(kernel, sub_x, sub_y, noise).ok()?
         };
-        let sparse = SparseGaussianProcess::from_fitted(gp, selected, xs.len());
-        self.cached_sparse = Some(sparse.clone());
-        self.cached_gp = None;
-        self.cached_at = history_len;
-        Some(sparse)
+        Some(SparseGaussianProcess::from_fitted(gp, selected, xs.len()))
+    }
+
+    /// The surrogate the last successful fit cached, exact or sparse.
+    fn model(&self) -> Option<&(dyn Surrogate + Sync)> {
+        match (&self.cached_gp, &self.cached_sparse) {
+            (Some(gp), _) => Some(gp),
+            (None, Some(sparse)) => Some(sparse),
+            (None, None) => None,
+        }
     }
 }
 
@@ -427,17 +415,20 @@ impl Tuner for BoTuner {
         history: &TrialHistory,
         rng: &mut Pcg64,
     ) -> Result<Configuration, TunerError> {
-        // Phase 1: initial design.
+        // Phase 1: initial design, opened by a prior's best sources.
         let init_n = self.init_design_size();
         if history.len() < init_n {
             if self.pending_init.is_none() {
-                let points = latin_hypercube(init_n, self.space.dims(), rng);
                 let mut configs = Vec::with_capacity(init_n);
-                for p in points {
+                for source in &self.prior {
+                    configs.extend(source.best_configs(&self.space, 2, rng));
+                }
+                for p in latin_hypercube(init_n, self.space.dims(), rng) {
                     if let Ok(cfg) = self.space.decode_feasible(&p, rng) {
                         configs.push(cfg);
                     }
                 }
+                configs.truncate(init_n);
                 configs.reverse();
                 self.pending_init = Some(configs);
             }
@@ -449,25 +440,27 @@ impl Tuner for BoTuner {
         }
 
         // Phase 2: model-based suggestion.
-        let (xs, ys) = self.training_data(history);
+        let (xs, ys, best) = self.training_data(history);
         if xs.len() < 2 {
             return Ok(self.space.sample(rng)?);
         }
-        let Some(gp) = self.fit_surrogate(&xs, &ys, history.len()) else {
+        let Some(gp) = self
+            .fit_surrogate(&xs, &ys, history.len())
+            .and(self.model())
+        else {
             return Ok(self.space.sample(rng)?);
         };
-        let best = history.best_value().max(1e-12).log10();
         // Anchor local exploration at the best observed configurations.
         let mut ranked: Vec<(f64, &Vec<f64>)> = xs.iter().zip(&ys).map(|(x, &y)| (y, x)).collect();
         ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
         let anchors: Vec<Vec<f64>> = ranked.iter().take(3).map(|(_, x)| (*x).clone()).collect();
 
         let choice = maximize_acquisition(
-            &gp,
+            gp,
             self.config.acquisition,
             best,
             self.space.dims(),
-            self.config.candidates,
+            CANDIDATES,
             &anchors,
             rng,
         );
@@ -484,7 +477,7 @@ impl Tuner for BoTuner {
             .or_else(|_| self.space.sample(rng))?;
         // Re-score the decoded (repaired) point: repair may have moved it.
         let mut best_score = match self.space.encode(&best_cfg) {
-            Ok(enc) => self.config.acquisition.score_at(&gp, &enc, best),
+            Ok(enc) => self.config.acquisition.score_at(gp, &enc, best),
             Err(_) => choice.value,
         };
         if let Some(incumbent) = history.best() {
@@ -492,7 +485,7 @@ impl Tuner for BoTuner {
                 let Ok(enc) = self.space.encode(&neighbor) else {
                     continue;
                 };
-                let score = self.config.acquisition.score_at(&gp, &enc, best);
+                let score = self.config.acquisition.score_at(gp, &enc, best);
                 if score > best_score {
                     best_score = score;
                     best_cfg = neighbor;
@@ -521,6 +514,11 @@ impl Tuner for BoTuner {
     }
 
     fn checkpoint(&self) -> Option<TunerState> {
+        // The sources are not part of the state: a snapshot would
+        // silently resume as plain BO.
+        if !self.prior.is_empty() {
+            return None;
+        }
         let mut state = TunerState::new();
         if let Some(pending) = &self.pending_init {
             state.set("pending_init", StateValue::ConfigList(pending.clone()));
@@ -609,7 +607,7 @@ impl Tuner for BoTuner {
             for t in history.trials().iter().take(cached_at) {
                 prefix.push(t.config.clone(), t.outcome.clone());
             }
-            let (xs, ys) = self.training_data(&prefix);
+            let (xs, ys, _) = self.training_data(&prefix);
             // Absent marker means exact — the only kind older
             // checkpoints could hold.
             let kind = if state.has("cached_kind") {
@@ -831,8 +829,8 @@ mod tests {
             .iter()
             .map(|p| (p[0] - 0.4).powi(2) + (p[1] - 0.6).powi(2) + 1.0)
             .collect();
-        let first = t.fit_surrogate(&xs, &ys, 8).unwrap();
-        assert_eq!(first.n_train(), 8);
+        t.fit_surrogate(&xs, &ys, 8).unwrap();
+        assert_eq!(t.model().unwrap().n_train(), 8);
         let cached = t.cached_gp.clone().unwrap();
 
         let mut xs2 = xs.clone();
@@ -840,8 +838,9 @@ mod tests {
         xs2.push(vec![0.45, 0.55]);
         ys2.push(1.01);
         let expected = cached.extend(&xs2[8..], &ys2[8..]).unwrap();
-        // history_len 9 < 8 + hyperopt_every(3): no re-hyperopt.
-        let second = t.fit_surrogate(&xs2, &ys2, 9).unwrap();
+        // history_len 9 < 8 + HYPEROPT_EVERY (3): no re-hyperopt.
+        t.fit_surrogate(&xs2, &ys2, 9).unwrap();
+        let second = t.model().unwrap();
         assert_eq!(second.n_train(), 9);
         assert_eq!(
             second.log_marginal_likelihood().to_bits(),
@@ -875,7 +874,8 @@ mod tests {
         ys2[0] += 0.5; // old target rewritten
         xs2.push(vec![0.45, 0.55]);
         ys2.push(1.01);
-        let second = t.fit_surrogate(&xs2, &ys2, 9).unwrap();
+        t.fit_surrogate(&xs2, &ys2, 9).unwrap();
+        let second = t.model().unwrap();
         assert_eq!(second.n_train(), 9);
         assert_eq!(
             second.noise_variance(),
@@ -908,8 +908,8 @@ mod tests {
         censored.censored_at = Some(60.0);
         h.push(cfg, censored);
 
-        let (_, ys_censoring) = mk(true).training_data(&h);
-        let (_, ys_naive) = mk(false).training_data(&h);
+        let (_, ys_censoring, _) = mk(true).training_data(&h);
+        let (_, ys_naive, _) = mk(false).training_data(&h);
         // Censoring mode: bound × inflation = 90, between the successes.
         assert!((ys_censoring[2] - (60.0 * CENSORED_INFLATION).log10()).abs() < 1e-12);
         // Naive mode: worst × penalty factor = 200, a cliff.
@@ -918,8 +918,8 @@ mod tests {
         // Genuine failures are penalized identically in both modes.
         let cfg = space().sample(&mut rng).unwrap();
         h.push(cfg, TrialOutcome::failed("oom", 1.0));
-        let (_, ys_a) = mk(true).training_data(&h);
-        let (_, ys_b) = mk(false).training_data(&h);
+        let (_, ys_a, _) = mk(true).training_data(&h);
+        let (_, ys_b, _) = mk(false).training_data(&h);
         assert_eq!(ys_a[3], ys_b[3]);
     }
 
@@ -959,14 +959,21 @@ mod tests {
         let pts = latin_hypercube(14, 2, &mut rng);
         let ys: Vec<f64> = pts.iter().map(|p| p[0] + p[1]).collect();
 
-        let below = t.fit_surrogate(&pts[..9], &ys[..9], 9).unwrap();
-        assert!(!below.is_sparse(), "below threshold stays exact");
-        assert_eq!(below.n_train(), 9);
+        t.fit_surrogate(&pts[..9], &ys[..9], 9).unwrap();
+        assert!(t.cached_sparse.is_none(), "below threshold stays exact");
+        assert_eq!(t.model().unwrap().n_train(), 9);
         assert!(t.cached_gp.is_some() && t.cached_sparse.is_none());
 
-        let above = t.fit_surrogate(&pts, &ys, 14).unwrap();
-        assert!(above.is_sparse(), "at/above threshold switches to sparse");
-        assert_eq!(above.n_train(), 8, "conditioning set capped at max_points");
+        t.fit_surrogate(&pts, &ys, 14).unwrap();
+        assert!(
+            t.cached_sparse.is_some(),
+            "at/above threshold switches to sparse"
+        );
+        assert_eq!(
+            t.model().unwrap().n_train(),
+            8,
+            "conditioning set capped at max_points"
+        );
         assert!(t.cached_sparse.is_some() && t.cached_gp.is_none());
     }
 
@@ -1107,16 +1114,17 @@ mod proptests {
             let mut ta = BoTuner::new(space(), mk(SurrogateMode::Auto), 5);
             let mut tb = BoTuner::new(space(), mk(SurrogateMode::Exact), 5);
             let n = pts.len();
-            let a = ta.fit_surrogate(&pts, &ys, n).unwrap();
-            let b = tb.fit_surrogate(&pts, &ys, n).unwrap();
-            prop_assert!(!a.is_sparse());
+            ta.fit_surrogate(&pts, &ys, n).unwrap();
+            tb.fit_surrogate(&pts, &ys, n).unwrap();
+            prop_assert!(ta.cached_sparse.is_none());
+            let (a, b) = (ta.model().unwrap(), tb.model().unwrap());
             prop_assert_eq!(
                 a.log_marginal_likelihood().to_bits(),
                 b.log_marginal_likelihood().to_bits()
             );
             prop_assert_eq!(a.noise_variance().to_bits(), b.noise_variance().to_bits());
-            let pa = Surrogate::predict(&a, &query);
-            let pb = Surrogate::predict(&b, &query);
+            let pa = a.predict(&query);
+            let pb = b.predict(&query);
             prop_assert_eq!(pa.mean.to_bits(), pb.mean.to_bits());
             prop_assert_eq!(pa.variance.to_bits(), pb.variance.to_bits());
         }

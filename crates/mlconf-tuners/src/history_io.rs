@@ -229,13 +229,22 @@ pub fn load_fault_plan<R: BufRead>(r: R) -> Result<FaultPlan, HistoryIoError> {
 }
 
 fn parse_f64(cell: &str, line: usize, what: &str) -> Result<f64, HistoryIoError> {
-    if cell == "inf" {
-        return Ok(f64::INFINITY);
-    }
     cell.parse().map_err(|_| HistoryIoError::Format {
         line,
         reason: format!("cannot parse {what} from `{cell}`"),
     })
+}
+
+/// [`parse_f64`] for the values a surrogate trains on: `inf`, `-inf`
+/// and `NaN` are format errors.
+fn parse_finite(cell: &str, line: usize, what: &str) -> Result<f64, HistoryIoError> {
+    match parse_f64(cell, line, what)? {
+        v if v.is_finite() => Ok(v),
+        _ => Err(HistoryIoError::Format {
+            line,
+            reason: format!("{what} must be finite, got `{cell}`"),
+        }),
+    }
 }
 
 /// Reads a history written by [`save_csv`], validating every
@@ -244,7 +253,9 @@ fn parse_f64(cell: &str, line: usize, what: &str) -> Result<f64, HistoryIoError>
 /// # Errors
 ///
 /// Returns format errors with line numbers for mismatched headers,
-/// unparsable values, or out-of-domain configurations.
+/// unparsable values, a non-finite `objective` or `censored_at`, or
+/// out-of-domain configurations. (A failed trial's `tta_secs` of `inf`
+/// is legitimate and loads.)
 pub fn load_csv<R: BufRead>(space: &ConfigSpace, r: R) -> Result<TrialHistory, HistoryIoError> {
     let mut lines = r.lines();
     let header_line = lines.next().ok_or(HistoryIoError::Format {
@@ -299,7 +310,7 @@ pub fn load_csv<R: BufRead>(space: &ConfigSpace, r: R) -> Result<TrialHistory, H
         let objective = if cells[n_params].is_empty() {
             None
         } else {
-            Some(parse_f64(&cells[n_params], lineno, "objective")?)
+            Some(parse_finite(&cells[n_params], lineno, "objective")?)
         };
         let failure = if cells[n_params + 1].is_empty() {
             None
@@ -321,7 +332,7 @@ pub fn load_csv<R: BufRead>(space: &ConfigSpace, r: R) -> Result<TrialHistory, H
             censored_at: if cells[n_params + 7].is_empty() {
                 None
             } else {
-                Some(parse_f64(&cells[n_params + 7], lineno, "censored_at")?)
+                Some(parse_finite(&cells[n_params + 7], lineno, "censored_at")?)
             },
             attempts: cells[n_params + 8]
                 .parse()
@@ -395,6 +406,43 @@ mod tests {
             HistoryIoError::Format { line, .. } => assert_eq!(line, 1),
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    #[test]
+    fn non_finite_objective_or_bound_is_rejected_with_its_line() {
+        let (h, space) = real_history(6);
+        let mut buf = Vec::new();
+        save_csv(&h, &space, &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let n_params = space.params().len();
+        let ok_row = 1 + h.trials().iter().position(|t| t.outcome.is_ok()).unwrap();
+        for (column, bad) in [
+            (n_params, "inf"),
+            (n_params, "-inf"),
+            (n_params, "NaN"),
+            (n_params + 7, "inf"),
+            (n_params + 7, "NaN"),
+        ] {
+            let mut lines: Vec<String> = text.lines().map(String::from).collect();
+            let mut cells = csv_split(&lines[ok_row]);
+            cells[column] = bad.into();
+            lines[ok_row] = cells
+                .iter()
+                .map(|c| csv_escape(c))
+                .collect::<Vec<_>>()
+                .join(",");
+            match load_csv(&space, lines.join("\n").as_bytes()).unwrap_err() {
+                HistoryIoError::Format { line, reason } => {
+                    assert_eq!(line, ok_row, "{bad} in column {column}");
+                    assert!(reason.contains("finite"), "{reason}");
+                }
+                other => panic!("unexpected error {other:?}"),
+            }
+        }
+        // A failed trial's infinite time-to-accuracy still loads.
+        let failed = h.trials().iter().find(|t| !t.outcome.is_ok()).unwrap();
+        assert_eq!(failed.outcome.tta_secs, f64::INFINITY);
+        assert_eq!(load_csv(&space, text.as_bytes()).unwrap(), h);
     }
 
     #[test]

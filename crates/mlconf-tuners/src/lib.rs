@@ -7,7 +7,8 @@
 //!   [`tuner::TrialHistory`].
 //! - [`bo`] — the Bayesian-optimization tuner (GP surrogate on the unit-
 //!   hypercube encoding, log-objective, failure penalties, EI/PI/LCB
-//!   acquisitions; CherryPick-style).
+//!   acquisitions; CherryPick-style), which also takes [`transfer`]'s
+//!   source histories as prior data (OtterTune-style warm starts).
 //! - Baselines: [`random`] (uniform + Latin hypercube), [`grid`],
 //!   [`coordinate`] (hill climbing), [`anneal`] (simulated annealing),
 //!   [`halving`] (successive halving under noise), and [`ernest`] (the
@@ -68,7 +69,7 @@ pub mod session;
 pub mod transfer;
 pub mod tuner;
 
-pub use bo::{BoConfig, BoTuner, SurrogateMode, SurrogateModel};
+pub use bo::{BoConfig, BoTuner, SurrogateMode};
 pub use drift::{DriftConfig, DriftCtl, DriftMonitor, DriftResumeState, ReTunePolicy};
 pub use executor::{ExecutedTrial, ExecutionStatus, RetryPolicy, TimeoutPolicy, TrialExecutor};
 pub use factory::{bo_spec, build_tuner, FactoryError};

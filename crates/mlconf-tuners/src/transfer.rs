@@ -4,31 +4,36 @@
 //! informative even though the objective scale differs: configuration
 //! quality is strongly rank-correlated across jobs that share a regime
 //! (a good cluster shape for one compute-bound CNN is good for another).
-//! [`WarmStartBo`] wraps the BO tuner and seeds its surrogate with
-//! source-workload trials whose targets are *z-scored per source*, so
-//! only the shape transfers, never the scale. Source points also carry
-//! extra observation noise so fresh target observations quickly dominate
-//! them.
+//! A [`SourceHistory`] holds a source workload's trials with targets
+//! *z-scored per source*, so only the shape transfers, never the scale.
+//! Sources enter the one BO implementation as prior data
+//! ([`crate::bo::BoTuner::with_prior`]), which seeds its initial design
+//! with each source's best configurations, z-scores the target trials
+//! the same way, and floors the surrogate's noise so fresh target
+//! observations quickly dominate the source points.
 
-use mlconf_gp::acquisition::maximize_acquisition;
-use mlconf_gp::gp::GaussianProcess;
-use mlconf_gp::hyperopt::{fit_optimized, HyperoptOptions};
-use mlconf_gp::kernel::Kernel;
 use mlconf_space::config::Configuration;
 use mlconf_space::space::ConfigSpace;
 use mlconf_util::rng::Pcg64;
-use mlconf_util::sampling::latin_hypercube;
 
-use crate::bo::BoConfig;
-use crate::tuner::{TrialHistory, Tuner, TunerDiagnostics, TunerError};
+use crate::tuner::TrialHistory;
 
 /// A source workload's tuning history, prepared for transfer.
 #[derive(Debug, Clone)]
 pub struct SourceHistory {
     /// Encoded configurations.
-    encoded: Vec<Vec<f64>>,
+    pub(crate) encoded: Vec<Vec<f64>>,
     /// Z-scored log-objectives.
-    z_scores: Vec<f64>,
+    pub(crate) z_scores: Vec<f64>,
+}
+
+/// Mean and population standard deviation of `values` (`(0, 0)` when
+/// empty).
+pub(crate) fn mean_std(values: &[f64]) -> (f64, f64) {
+    let n = values.len().max(1) as f64;
+    let mean = values.iter().sum::<f64>() / n;
+    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
+    (mean, var.sqrt())
 }
 
 impl SourceHistory {
@@ -53,22 +58,19 @@ impl SourceHistory {
         if logs.len() < 3 {
             return None;
         }
-        let n = logs.len() as f64;
-        let mean = logs.iter().sum::<f64>() / n;
-        let var = logs.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-        if var.sqrt() < 1e-9 {
+        let (mean, std) = mean_std(&logs);
+        if std < 1e-9 {
             return None;
         }
-        let std = var.sqrt();
         let z_scores = logs.iter().map(|v| (v - mean) / std).collect();
         Some(SourceHistory { encoded, z_scores })
     }
 
     /// The source's `k` best configurations, decoded into `space`,
     /// ranked by z-scored objective (best first); infeasible decodes
-    /// are skipped. This is the seeding rule behind both
-    /// [`WarmStartBo`]'s initial design and session-level warm starting
-    /// ([`crate::session::TuningSession::warm_start`]).
+    /// are skipped. This is the seeding rule behind both a prior's
+    /// initial design in [`crate::bo::BoTuner`] and session-level warm
+    /// starting ([`crate::session::TuningSession::warm_start`]).
     pub fn best_configs(
         &self,
         space: &ConfigSpace,
@@ -98,199 +100,12 @@ impl SourceHistory {
     }
 }
 
-/// BO with warm-started surrogate.
-///
-/// Until the target history has `handoff` trials, the surrogate is fit
-/// on source + target points jointly (targets z-scored the same way);
-/// afterwards it behaves exactly like plain BO on target data only.
-#[derive(Debug, Clone)]
-pub struct WarmStartBo {
-    space: ConfigSpace,
-    config: BoConfig,
-    sources: Vec<SourceHistory>,
-    /// Target-trial count at which transfer is switched off.
-    handoff: usize,
-    /// Initial design size (smaller than cold BO: the transfer replaces
-    /// most of the exploration budget).
-    init_design: usize,
-    pending_init: Option<Vec<Configuration>>,
-    last_acquisition: Option<f64>,
-    hyperopt_rng: Pcg64,
-}
-
-impl WarmStartBo {
-    /// Creates a warm-started BO tuner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `handoff == 0`.
-    pub fn new(
-        space: ConfigSpace,
-        config: BoConfig,
-        sources: Vec<SourceHistory>,
-        handoff: usize,
-        seed: u64,
-    ) -> Self {
-        assert!(handoff > 0, "handoff must be positive");
-        let init_design = if sources.iter().any(|s| !s.is_empty()) {
-            3
-        } else {
-            (3 * space.dims()).clamp(4, 12)
-        };
-        WarmStartBo {
-            space,
-            config,
-            sources,
-            handoff,
-            init_design,
-            pending_init: None,
-            last_acquisition: None,
-            hyperopt_rng: Pcg64::with_stream(seed, 0x7a6e),
-        }
-    }
-
-    /// Extra noise variance (standardized units) added to source points.
-    const SOURCE_NOISE: f64 = 0.25;
-
-    /// Builds joint training data: target history (z-scored) plus all
-    /// source points.
-    fn joint_training_data(&self, history: &TrialHistory) -> (Vec<Vec<f64>>, Vec<f64>) {
-        let mut logs = Vec::new();
-        let mut target_enc = Vec::new();
-        for t in history.successes() {
-            let Some(v) = t.outcome.objective else {
-                continue;
-            };
-            let Ok(enc) = self.space.encode(&t.config) else {
-                continue;
-            };
-            target_enc.push(enc);
-            logs.push(v.max(1e-12).log10());
-        }
-        // Z-score the target the same way sources were.
-        let n = logs.len().max(1) as f64;
-        let mean = logs.iter().sum::<f64>() / n;
-        let std = {
-            let var = logs.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-            var.sqrt().max(1e-6)
-        };
-        let mut xs = target_enc;
-        let mut ys: Vec<f64> = logs.iter().map(|v| (v - mean) / std).collect();
-        for s in &self.sources {
-            xs.extend(s.encoded.iter().cloned());
-            ys.extend(s.z_scores.iter().copied());
-        }
-        (xs, ys)
-    }
-
-    fn fit_joint(&mut self, xs: &[Vec<f64>], ys: &[f64]) -> Option<GaussianProcess> {
-        let template = Kernel::new(self.config.kernel, self.space.dims());
-        // The inflated noise floor stands in for source-target mismatch.
-        let opts = HyperoptOptions {
-            log_noise_bounds: (Self::SOURCE_NOISE.ln(), (1.5f64).ln()),
-            ..HyperoptOptions::default()
-        };
-        fit_optimized(&template, xs, ys, &opts, &mut self.hyperopt_rng).ok()
-    }
-}
-
-impl Tuner for WarmStartBo {
-    fn name(&self) -> &str {
-        "bo-transfer"
-    }
-
-    fn suggest(
-        &mut self,
-        history: &TrialHistory,
-        rng: &mut Pcg64,
-    ) -> Result<Configuration, TunerError> {
-        // Past the handoff, or with no usable sources, defer to the
-        // plain-BO data path by fitting on target data only. (We keep
-        // one implementation and simply drop the sources.)
-        if history.len() >= self.handoff {
-            self.sources.clear();
-        }
-
-        if history.len() < self.init_design {
-            if self.pending_init.is_none() {
-                let mut configs = Vec::new();
-                // Seed with the best source configurations (decoded) plus
-                // a couple of LHS points for coverage.
-                for s in &self.sources {
-                    configs.extend(s.best_configs(&self.space, 2, rng));
-                }
-                for p in latin_hypercube(self.init_design, self.space.dims(), rng) {
-                    if let Ok(cfg) = self.space.decode_feasible(&p, rng) {
-                        configs.push(cfg);
-                    }
-                }
-                configs.truncate(self.init_design.max(2));
-                configs.reverse();
-                self.pending_init = Some(configs);
-            }
-            if let Some(cfg) = self.pending_init.as_mut().and_then(Vec::pop) {
-                return Ok(cfg);
-            }
-            return Ok(self.space.sample(rng)?);
-        }
-
-        let (xs, ys) = self.joint_training_data(history);
-        if xs.len() < 2 {
-            return Ok(self.space.sample(rng)?);
-        }
-        let Some(gp) = self.fit_joint(&xs, &ys) else {
-            return Ok(self.space.sample(rng)?);
-        };
-        // Incumbent in z-space: the minimum of the *target* portion.
-        let target_successes = history.successes().count();
-        let best = ys
-            .iter()
-            .take(target_successes)
-            .cloned()
-            .fold(f64::INFINITY, f64::min);
-        let best = if best.is_finite() { best } else { 0.0 };
-
-        let anchors: Vec<Vec<f64>> = history
-            .best()
-            .and_then(|b| self.space.encode(&b.config).ok())
-            .into_iter()
-            .collect();
-        let choice = maximize_acquisition(
-            &gp,
-            self.config.acquisition,
-            best,
-            self.space.dims(),
-            self.config.candidates,
-            &anchors,
-            rng,
-        );
-        self.last_acquisition = Some(choice.value);
-        let cfg = self
-            .space
-            .decode_feasible(&choice.point, rng)
-            .or_else(|_| self.space.sample(rng))?;
-        if history.evaluations_of(&cfg) >= 2 {
-            let neighbors = self.space.neighbors(&cfg)?;
-            if !neighbors.is_empty() {
-                use rand::Rng;
-                return Ok(neighbors[rng.gen_range(0..neighbors.len())].clone());
-            }
-        }
-        Ok(cfg)
-    }
-
-    fn diagnostics(&self) -> TunerDiagnostics {
-        TunerDiagnostics {
-            last_acquisition: self.last_acquisition,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bo::BoTuner;
     use crate::session::TuningSession;
+    use crate::tuner::Tuner;
     use mlconf_workloads::evaluator::ConfigEvaluator;
     use mlconf_workloads::objective::Objective;
     use mlconf_workloads::workload::{cnn_cifar, lda_news, mlp_mnist};
@@ -351,13 +166,8 @@ mod tests {
             let source = SourceHistory::from_history(&src_hist, &src_space).expect("usable");
 
             let ev = ConfigEvaluator::new(cnn_cifar(), Objective::TimeToAccuracy, 16, seed + 100);
-            let mut warm = WarmStartBo::new(
-                ev.space().clone(),
-                BoConfig::default(),
-                vec![source],
-                20,
-                seed,
-            );
+            let mut warm =
+                BoTuner::with_defaults(ev.space().clone(), seed).with_prior(vec![source]);
             let warm_r = TuningSession::new(&ev, budget, seed + 100).run(&mut warm);
 
             let mut cold = BoTuner::with_defaults(ev.space().clone(), seed);
@@ -374,23 +184,30 @@ mod tests {
     }
 
     #[test]
-    fn empty_sources_degrade_to_plain_bo_behaviour() {
-        let ev = ConfigEvaluator::new(mlp_mnist(), Objective::TimeToAccuracy, 16, 7);
-        let mut t = WarmStartBo::new(ev.space().clone(), BoConfig::default(), vec![], 20, 7);
-        let r = TuningSession::new(&ev, 12, 7).run(&mut t);
-        assert_eq!(r.history.len(), 12);
-        assert!(r.best_value().is_finite());
+    fn empty_prior_is_plain_bo_at_golden_seeds() {
+        // Past the 12-point default design, so the model phase runs too.
+        for seed in [11u64, 22, 33] {
+            let ev = ConfigEvaluator::new(mlp_mnist(), Objective::TimeToAccuracy, 16, seed);
+            let mut plain = BoTuner::with_defaults(ev.space().clone(), seed);
+            let mut empty = BoTuner::with_defaults(ev.space().clone(), seed).with_prior(vec![]);
+            let a = TuningSession::new(&ev, 16, seed).run(&mut plain);
+            let b = TuningSession::new(&ev, 16, seed).run(&mut empty);
+            assert_eq!(a.history, b.history, "seed {seed}");
+            assert_eq!(plain.checkpoint(), empty.checkpoint(), "seed {seed}");
+        }
     }
 
     #[test]
-    fn handoff_clears_sources() {
+    fn prior_tuners_do_not_checkpoint() {
+        // A snapshot cannot carry the sources, so none is offered.
         let (src_hist, src_space) = tuned_source(9);
         let source = SourceHistory::from_history(&src_hist, &src_space).expect("usable");
         let ev = ConfigEvaluator::new(mlp_mnist(), Objective::TimeToAccuracy, 16, 9);
-        let mut t = WarmStartBo::new(ev.space().clone(), BoConfig::default(), vec![source], 5, 9);
+        let mut t = BoTuner::with_defaults(ev.space().clone(), 9).with_prior(vec![source]);
+        assert!(t.checkpoint().is_none());
         let r = TuningSession::new(&ev, 8, 9).run(&mut t);
         assert_eq!(r.history.len(), 8);
-        assert!(t.sources.is_empty(), "sources must be dropped at handoff");
+        assert!(t.checkpoint().is_none());
     }
 
     #[test]
@@ -417,8 +234,7 @@ mod tests {
             let (src_hist, src_space) = tuned_source(4);
             let source = SourceHistory::from_history(&src_hist, &src_space).expect("usable");
             let ev = ConfigEvaluator::new(cnn_cifar(), Objective::TimeToAccuracy, 16, 4);
-            let mut t =
-                WarmStartBo::new(ev.space().clone(), BoConfig::default(), vec![source], 20, 4);
+            let mut t = BoTuner::with_defaults(ev.space().clone(), 4).with_prior(vec![source]);
             TuningSession::new(&ev, 8, 4).run(&mut t)
         };
         assert_eq!(run(), run());

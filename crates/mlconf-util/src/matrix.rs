@@ -198,7 +198,9 @@ impl Matrix {
     /// preserving existing entries and zero-filling the new border.
     ///
     /// Used by the incremental Cholesky update to append rows to `L`
-    /// without refactorizing.
+    /// without refactorizing. Grows the storage exactly, with no
+    /// amortized slack: a grown factor is typically kept long-term (a BO
+    /// tuner caches its GP between suggests).
     ///
     /// # Panics
     ///
@@ -210,6 +212,7 @@ impl Matrix {
         }
         let n = self.rows;
         let m = n + extra;
+        self.data.reserve_exact(m * m - self.data.len());
         self.data.resize(m * m, 0.0);
         // Shift rows into their new positions back to front so the source
         // region is never overwritten before it is read, then zero the gap

@@ -12,9 +12,9 @@
 //! cargo run --release --example transfer_learning
 //! ```
 
-use mlconf::tuners::bo::{BoConfig, BoTuner};
+use mlconf::tuners::bo::BoTuner;
 use mlconf::tuners::session::TuningSession;
-use mlconf::tuners::transfer::{SourceHistory, WarmStartBo};
+use mlconf::tuners::transfer::SourceHistory;
 use mlconf::workloads::evaluator::ConfigEvaluator;
 use mlconf::workloads::objective::Objective;
 use mlconf::workloads::workload::{cnn_cifar, lda_news, w2v_wiki, Workload};
@@ -47,22 +47,11 @@ fn main() {
     let mut cold = BoTuner::with_defaults(ev.space().clone(), SEED);
     let cold_r = TuningSession::new(&ev, TARGET_BUDGET, SEED + 1).run(&mut cold);
 
-    let mut warm = WarmStartBo::new(
-        ev.space().clone(),
-        BoConfig::default(),
-        vec![related],
-        TARGET_BUDGET * 2,
-        SEED,
-    );
+    let mut warm = BoTuner::with_defaults(ev.space().clone(), SEED).with_prior(vec![related]);
     let warm_r = TuningSession::new(&ev, TARGET_BUDGET, SEED + 1).run(&mut warm);
 
-    let mut mismatched = WarmStartBo::new(
-        ev.space().clone(),
-        BoConfig::default(),
-        vec![unrelated],
-        TARGET_BUDGET * 2,
-        SEED,
-    );
+    let mut mismatched =
+        BoTuner::with_defaults(ev.space().clone(), SEED).with_prior(vec![unrelated]);
     let mis_r = TuningSession::new(&ev, TARGET_BUDGET, SEED + 1).run(&mut mismatched);
 
     println!("\n{:<34} {:>14}", "strategy", "best tta(s)");
