@@ -26,7 +26,7 @@
 //! segment's oracle.
 //!
 //! Reported per `(scenario, arm)`: the fraction of the post-shift
-//! window the *deployed* configuration spends above [`SLO_MULT`] times
+//! window the *deployed* configuration spends above `SLO_MULT` times
 //! the current segment's oracle (time below SLO), re-tune counts, drift
 //! detections, and the wall-clock cost of re-tune probe trials (wasted
 //! cost). The measurement window starts at the change point — the
@@ -90,9 +90,9 @@ fn shift_script(wall: f64, max_nodes: i64) -> (ScenarioScript, f64) {
     script.push(ScenarioEvent {
         at_secs: t1,
         env: EnvState {
-            compute_scale: 1.0,
             net_scale: 0.1,
             node_delta: -(max_nodes / 2),
+            ..EnvState::neutral()
         },
     });
     (script, t1)

@@ -33,20 +33,6 @@ pub enum Arrivals {
         /// Seconds per on+off cycle.
         period: f64,
     },
-    /// Drifting arrivals: the instantaneous rate ramps linearly from
-    /// `rate_lo` up to `rate_hi` and back over each `period` (a
-    /// triangular wave), realized by Lewis–Shedler thinning of a
-    /// `rate_hi` Poisson process. This is the open-loop shape of a
-    /// workload whose demand regime shifts over the benchmark window —
-    /// the serve-tier counterpart of a drift scenario.
-    Drifting {
-        /// Rate at the trough of each cycle (arrivals per second).
-        rate_lo: f64,
-        /// Rate at the peak of each cycle.
-        rate_hi: f64,
-        /// Seconds per trough→peak→trough cycle.
-        period: f64,
-    },
 }
 
 impl Arrivals {
@@ -55,7 +41,6 @@ impl Arrivals {
         match self {
             Arrivals::Poisson { .. } => "poisson",
             Arrivals::Bursty { .. } => "bursty",
-            Arrivals::Drifting { .. } => "drifting",
         }
     }
 }
@@ -104,37 +89,6 @@ pub fn schedule(arrivals: &Arrivals, n: usize, seed: u64) -> Vec<f64> {
                     t += period - phase;
                 }
                 times.push(t);
-            }
-        }
-        Arrivals::Drifting {
-            rate_lo,
-            rate_hi,
-            period,
-        } => {
-            assert!(rate_lo > 0.0, "drifting rate_lo must be positive");
-            assert!(
-                rate_hi >= rate_lo,
-                "drifting rate_hi must be at least rate_lo"
-            );
-            assert!(period > 0.0, "drifting period must be positive");
-            // Lewis–Shedler thinning: candidate arrivals come from a
-            // homogeneous process at the envelope rate `rate_hi`, and
-            // each is kept with probability rate(t)/rate_hi. Rejected
-            // candidates still consume their two RNG draws, so the
-            // schedule stays deterministic in the seed alone.
-            let mut t = 0.0;
-            while times.len() < n {
-                t += exp_gap(&mut rng, rate_hi);
-                let phase = t.rem_euclid(period) / period;
-                let ramp = if phase < 0.5 {
-                    2.0 * phase
-                } else {
-                    2.0 * (1.0 - phase)
-                };
-                let rate_t = rate_lo + (rate_hi - rate_lo) * ramp;
-                if uniform(&mut rng) * rate_hi <= rate_t {
-                    times.push(t);
-                }
             }
         }
     }
@@ -191,11 +145,6 @@ mod tests {
                 rate: 50.0,
                 period: 0.2,
             },
-            Arrivals::Drifting {
-                rate_lo: 20.0,
-                rate_hi: 80.0,
-                period: 1.0,
-            },
         ] {
             let a = schedule(&arrivals, 500, 7);
             let b = schedule(&arrivals, 500, 7);
@@ -235,45 +184,6 @@ mod tests {
         assert!(
             (observed - 40.0).abs() < 6.0,
             "bursty rate drifted: {observed}"
-        );
-    }
-
-    #[test]
-    fn drifting_schedules_ramp_between_the_rate_bounds() {
-        let period = 2.0;
-        let (lo, hi) = (20.0, 100.0);
-        let times = schedule(
-            &Arrivals::Drifting {
-                rate_lo: lo,
-                rate_hi: hi,
-                period,
-            },
-            8000,
-            5,
-        );
-        // Long-run mean sits near the triangular-wave average (lo+hi)/2.
-        let observed = times.len() as f64 / times.last().unwrap();
-        let expected = (lo + hi) / 2.0;
-        assert!(
-            (observed - expected).abs() < expected * 0.15,
-            "drifting mean rate {observed}, expected ~{expected}"
-        );
-        // Troughs (phase near 0 or 1) see far fewer arrivals than peaks
-        // (phase near 0.5): the regime actually shifts within a cycle.
-        let phase_count = |a: f64, b: f64| {
-            times
-                .iter()
-                .filter(|t| {
-                    let p = t.rem_euclid(period) / period;
-                    p >= a && p < b
-                })
-                .count() as f64
-        };
-        let trough = phase_count(0.0, 0.1) + phase_count(0.9, 1.0);
-        let peak = phase_count(0.45, 0.55);
-        assert!(
-            peak > trough * 1.5,
-            "peak window ({peak}) not busier than trough windows ({trough})"
         );
     }
 

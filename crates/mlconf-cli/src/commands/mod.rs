@@ -116,7 +116,7 @@ PARETO FLAGS:
 SERVE FLAGS:
   --journal-dir D    directory for per-session JSONL journals  [required]
   --addr HOST:PORT   listen address (port 0 = ephemeral)       [default 127.0.0.1:8649]
-  --shards N         registry/IO shards (--workers is a legacy alias) [default 4]
+  --shards N         registry/IO shards                        [default 4]
   --request-timeout S  per-connection socket timeout (seconds) [default 10]
   --queue-depth N    per-shard bound on connections before 429 shedding [default 64]
   --snapshot-every N checkpoint + compact each session journal every N records (0 = off)
@@ -161,7 +161,6 @@ pub fn dispatch(raw: &[String]) -> Result<String, CliError> {
         "retune-policy",
         "addr",
         "journal-dir",
-        "workers",
         "shards",
         "request-timeout",
         "queue-depth",
@@ -205,5 +204,15 @@ mod tests {
     #[test]
     fn unknown_command_is_usage_error() {
         assert!(matches!(run_argv(&["frobnicate"]), Err(CliError::Usage(_))));
+    }
+
+    #[test]
+    fn serve_has_no_workers_alias() {
+        let err = run_argv(&["serve", "--journal-dir", "unused", "--workers", "2"]);
+        assert!(
+            matches!(&err, Err(CliError::Usage(m)) if m.contains("--workers")),
+            "{err:?}"
+        );
+        assert!(!help().contains("--workers"));
     }
 }

@@ -15,14 +15,11 @@ use crate::commands::CliError;
 
 /// `mlconf serve --addr A --journal-dir D [--shards N] [--queue-depth N]
 /// [--snapshot-every N] [--max-sessions N] [--tenant-rps R]`
-///
-/// `--workers` is accepted as a legacy alias for `--shards`.
 pub fn serve_cmd(args: &Args) -> Result<String, CliError> {
     args.reject_unknown(&[
         "addr",
         "journal-dir",
         "shards",
-        "workers",
         "request-timeout",
         "queue-depth",
         "snapshot-every",
@@ -34,10 +31,7 @@ pub fn serve_cmd(args: &Args) -> Result<String, CliError> {
     let journal_dir = args
         .get("journal-dir")
         .ok_or_else(|| CliError::Usage("--journal-dir is required".into()))?;
-    // --workers named the thread pool before the IO-shard rewrite; it
-    // still works, but --shards wins when both are given.
-    let legacy_workers: usize = args.get_parse("workers", 4)?;
-    let shards: usize = args.get_parse("shards", legacy_workers)?;
+    let shards: usize = args.get_parse("shards", 4)?;
     if shards == 0 {
         return Err(CliError::Usage("--shards must be at least 1".into()));
     }

@@ -787,7 +787,7 @@ mod tests {
         let path = dir.join("script.csv");
         std::fs::write(
             &path,
-            "at_secs,compute_scale,net_scale,node_delta\n5000,0.5,0.8,-1\n",
+            "at_secs,compute_scale,net_scale,node_delta,straggler_scale\n5000,0.5,0.8,-1,2\n",
         )
         .unwrap();
         let out = run_argv(&[
@@ -864,7 +864,7 @@ mod tests {
         let path = dir.join("bad.csv");
         std::fs::write(
             &path,
-            "at_secs,compute_scale,net_scale,node_delta\n5,zap,1,0\n",
+            "at_secs,compute_scale,net_scale,node_delta,straggler_scale\n5,zap,1,0,1\n",
         )
         .unwrap();
         assert!(matches!(
@@ -878,6 +878,37 @@ mod tests {
             Err(CliError::Usage(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn scenario_csv_node_delta_overflow_is_a_usage_error() {
+        let dir = std::env::temp_dir().join(format!("mlconf_minscen_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("min.csv");
+        std::fs::write(
+            &path,
+            "at_secs,compute_scale,net_scale,node_delta,straggler_scale\n\
+             100,1,1,-9223372036854775808,1\n",
+        )
+        .unwrap();
+        let result = run_argv(&[
+            "tune",
+            "--workload",
+            "mlp-mnist",
+            "--budget",
+            "3",
+            "--tuner",
+            "random",
+            "--scenario",
+            path.to_str().unwrap(),
+        ]);
+        std::fs::remove_dir_all(&dir).ok();
+        match result {
+            Err(CliError::Usage(m)) => {
+                assert!(m.contains("line 2") && m.contains("node_delta"), "{m}")
+            }
+            other => panic!("expected a usage error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn try_spawn(dir: &Path, addr: &str) -> Option<(Child, String)> {
             addr,
             "--journal-dir",
             dir.to_str().unwrap(),
-            "--workers",
+            "--shards",
             "2",
             "--snapshot-every",
             "3",

@@ -38,9 +38,10 @@
 //! A checkpoint restores bit-identically: the session resume state
 //! carries the driver RNG position and float accumulators through the
 //! tagged shortest-round-trip codec, and the tuner state round-trips
-//! through [`Tuner::checkpoint`]/[`Tuner::restore`]. Golden tests assert
-//! snapshot recovery ≡ full-journal replay at seeds {11, 22, 33}
-//! including faults and censoring. Tuners without checkpoint support
+//! through [`Tuner::checkpoint`](mlconf_tuners::tuner::Tuner::checkpoint)
+//! and [`Tuner::restore`](mlconf_tuners::tuner::Tuner::restore). Golden
+//! tests assert snapshot recovery ≡ full-journal replay at seeds
+//! {11, 22, 33} including faults and censoring. Tuners without checkpoint support
 //! simply never get a `.snap` and keep full-replay recovery.
 
 use crate::api::{

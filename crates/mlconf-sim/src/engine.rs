@@ -60,20 +60,22 @@ impl SimOptions {
     }
 
     /// These options under scenario environment `env`: congestion drift
-    /// (`net_scale`) lands on the network model's achievable bandwidth.
-    /// The cluster-side fields (`compute_scale`, `node_delta`) apply to
-    /// the [`RunConfig`] instead — see
-    /// [`ClusterSpec`](crate::cluster::ClusterSpec) and
+    /// (`net_scale`) lands on the network model's achievable bandwidth,
+    /// and `straggler_scale` on the straggler model's magnitudes
+    /// ([`StragglerModel::with_severity_scaled`]). The cluster-side
+    /// fields (`compute_scale`, `node_delta`) apply to the [`RunConfig`]
+    /// instead — see [`ClusterSpec`](crate::cluster::ClusterSpec) and
     /// [`MachineType::with_compute_scaled`](crate::cluster::MachineType::with_compute_scaled).
     /// A neutral state returns the options unchanged, bit for bit.
     pub fn with_env(&self, env: &crate::scenario::EnvState) -> Self {
-        if env.net_scale == 1.0 {
-            return self.clone();
+        let mut opts = self.clone();
+        if env.net_scale != 1.0 {
+            opts.network = self.network.with_bandwidth_scaled(env.net_scale);
         }
-        SimOptions {
-            network: self.network.with_bandwidth_scaled(env.net_scale),
-            ..self.clone()
+        if env.straggler_scale != 1.0 {
+            opts.straggler = self.straggler.with_severity_scaled(env.straggler_scale);
         }
+        opts
     }
 }
 
@@ -176,6 +178,7 @@ mod tests {
     use super::*;
     use crate::cluster::{machine_by_name, ClusterSpec};
     use crate::runconfig::SyncMode;
+    use crate::scenario::EnvState;
     use mlconf_util::rng::Pcg64;
 
     fn job(params: u64, flops_per_sample: f64) -> JobSpec {
@@ -424,6 +427,33 @@ mod tests {
             ..SimOptions::default()
         };
         simulate(&job(1_000_000, 1e6), &rc(4, ps(1), 8), &opts, &mut rng);
+    }
+
+    #[test]
+    fn neutral_env_leaves_options_unchanged() {
+        for opts in [SimOptions::default(), SimOptions::deterministic()] {
+            assert_eq!(opts.with_env(&EnvState::neutral()), opts);
+        }
+    }
+
+    #[test]
+    fn straggler_scale_matches_the_scaled_model() {
+        for s in [0.5, 1.0, 2.0, 8.0, 1000.0] {
+            let env = EnvState {
+                straggler_scale: s,
+                ..EnvState::neutral()
+            };
+            let opts = SimOptions::default().with_env(&env);
+            assert_eq!(opts.straggler, StragglerModel::scaled(s), "scale {s}");
+            assert_eq!(
+                SimOptions {
+                    straggler: SimOptions::default().straggler,
+                    ..opts
+                },
+                SimOptions::default(),
+                "straggler_scale {s} must touch only the straggler model"
+            );
+        }
     }
 }
 

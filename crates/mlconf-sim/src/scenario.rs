@@ -21,9 +21,9 @@ use mlconf_util::rng::Pcg64;
 
 /// The environment multipliers in force at one instant.
 ///
-/// The neutral state (`compute_scale = net_scale = 1`, `node_delta = 0`)
-/// is exactly the static world every existing experiment runs in:
-/// applying it changes nothing, bit for bit.
+/// The neutral state (`compute_scale = net_scale = straggler_scale = 1`,
+/// `node_delta = 0`) is exactly the static world every existing
+/// experiment runs in: applying it changes nothing, bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EnvState {
     /// Multiplier on per-core compute rate (machine phase changes,
@@ -35,6 +35,13 @@ pub struct EnvState {
     /// Signed change to the cluster's node count (spot preemption waves,
     /// autoscaling). Evaluations clamp the resulting size to stay valid.
     pub node_delta: i64,
+    /// Multiplier on the straggler model's magnitudes (degraded nodes,
+    /// noisy neighbours): see
+    /// [`StragglerModel::with_severity_scaled`](crate::straggler::StragglerModel::with_severity_scaled).
+    /// Must be positive and finite. It moves measured runs only: the
+    /// noise-free ground truth strips stragglers, so this field leaves
+    /// it unchanged.
+    pub straggler_scale: f64,
 }
 
 impl EnvState {
@@ -44,12 +51,16 @@ impl EnvState {
             compute_scale: 1.0,
             net_scale: 1.0,
             node_delta: 0,
+            straggler_scale: 1.0,
         }
     }
 
     /// Whether applying this state is a no-op.
     pub fn is_neutral(&self) -> bool {
-        self.compute_scale == 1.0 && self.net_scale == 1.0 && self.node_delta == 0
+        self.compute_scale == 1.0
+            && self.net_scale == 1.0
+            && self.node_delta == 0
+            && self.straggler_scale == 1.0
     }
 
     /// Checks the state's parameters, returning a description of the
@@ -62,12 +73,13 @@ impl EnvState {
         for (label, v) in [
             ("compute_scale", self.compute_scale),
             ("net_scale", self.net_scale),
+            ("straggler_scale", self.straggler_scale),
         ] {
             if !(v > 0.0 && v.is_finite()) {
                 return Err(format!("{label} must be positive and finite, got {v}"));
             }
         }
-        if self.node_delta.abs() > 10_000 {
+        if !(-10_000..=10_000).contains(&self.node_delta) {
             return Err(format!(
                 "node_delta out of range (|delta| <= 10000), got {}",
                 self.node_delta
@@ -118,6 +130,10 @@ pub struct ScenarioScript {
 /// Default scenario horizon in seconds: scripted presets place their
 /// events at fractions of this span.
 pub const DEFAULT_HORIZON_SECS: f64 = 40_000.0;
+
+/// The header line of the scenario CSV format ([`ScenarioScript::to_csv`]
+/// writes it, [`ScenarioScript::from_csv`] requires it).
+pub const CSV_HEADER: &str = "at_secs,compute_scale,net_scale,node_delta,straggler_scale";
 
 /// RNG stream tag reserved for scripted scenario generation, so scenario
 /// draws never collide with simulation, evaluator, or fault-plan streams.
@@ -377,15 +393,18 @@ impl ScenarioScript {
         })
     }
 
-    /// Renders the script as CSV (`at_secs,compute_scale,net_scale,
-    /// node_delta` with a header), the file format `mlconf tune
-    /// --scenario <file>` reads.
+    /// Renders the script as CSV ([`CSV_HEADER`] plus one row per
+    /// event), the file format `mlconf tune --scenario <file>` reads.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("at_secs,compute_scale,net_scale,node_delta\n");
+        let mut out = format!("{CSV_HEADER}\n");
         for e in &self.events {
             out.push_str(&format!(
-                "{},{},{},{}\n",
-                e.at_secs, e.env.compute_scale, e.env.net_scale, e.env.node_delta
+                "{},{},{},{},{}\n",
+                e.at_secs,
+                e.env.compute_scale,
+                e.env.net_scale,
+                e.env.node_delta,
+                e.env.straggler_scale
             ));
         }
         out
@@ -401,9 +420,9 @@ impl ScenarioScript {
     pub fn from_csv(name: impl Into<String>, csv: &str) -> Result<Self, String> {
         let mut lines = csv.lines();
         let header = lines.next().unwrap_or("");
-        if header.trim() != "at_secs,compute_scale,net_scale,node_delta" {
+        if header.trim() != CSV_HEADER {
             return Err(format!(
-                "scenario CSV must start with header `at_secs,compute_scale,net_scale,node_delta`, got `{header}`"
+                "scenario CSV must start with header `{CSV_HEADER}`, got `{header}`"
             ));
         }
         let mut script = ScenarioScript::stationary(name);
@@ -413,9 +432,9 @@ impl ScenarioScript {
                 continue;
             }
             let fields: Vec<&str> = line.split(',').collect();
-            if fields.len() != 4 {
+            if fields.len() != 5 {
                 return Err(format!(
-                    "scenario CSV line {} needs 4 fields: `{line}`",
+                    "scenario CSV line {} needs 5 fields: `{line}`",
                     i + 2
                 ));
             }
@@ -435,6 +454,7 @@ impl ScenarioScript {
                         fields[3]
                     )
                 })?,
+                straggler_scale: num(fields[4])?,
             };
             if !(at_secs >= 0.0 && at_secs.is_finite()) {
                 return Err(format!(
@@ -574,21 +594,61 @@ mod tests {
     }
 
     #[test]
+    fn node_delta_range_check_cannot_overflow() {
+        for node_delta in [i64::MIN, i64::MAX, -10_001, 10_001] {
+            let err = EnvState {
+                node_delta,
+                ..EnvState::neutral()
+            }
+            .try_validate()
+            .unwrap_err();
+            assert!(err.contains("node_delta"), "{err}");
+        }
+        for node_delta in [-10_000, 0, 10_000] {
+            EnvState {
+                node_delta,
+                ..EnvState::neutral()
+            }
+            .validate();
+        }
+    }
+
+    #[test]
     fn csv_roundtrip() {
-        let s = ScenarioScript::scripted("mixed", 5).unwrap();
+        let mut s = ScenarioScript::scripted("mixed", 5).unwrap();
+        s.push(ScenarioEvent {
+            at_secs: 33_000.0,
+            env: EnvState {
+                straggler_scale: 4.0,
+                ..EnvState::neutral()
+            },
+        });
         let csv = s.to_csv();
         let back = ScenarioScript::from_csv("mixed", &csv).unwrap();
         assert_eq!(s, back);
-        assert!(ScenarioScript::from_csv("x", "nope\n1,2,3,4\n").is_err());
-        assert!(ScenarioScript::from_csv(
-            "x",
-            "at_secs,compute_scale,net_scale,node_delta\n1,2,3\n"
-        )
-        .is_err());
-        assert!(ScenarioScript::from_csv(
-            "x",
-            "at_secs,compute_scale,net_scale,node_delta\n1,0,1,0\n"
-        )
-        .is_err());
+        let reject = |csv: &str, reason: &str| {
+            let err = ScenarioScript::from_csv("x", csv).unwrap_err();
+            assert!(err.contains(reason), "`{csv}` failed with `{err}`");
+        };
+        reject("nope\n1,2,3,4,5\n", "header");
+        // A four-column header (no straggler_scale) is rejected.
+        reject(
+            "at_secs,compute_scale,net_scale,node_delta\n1,1,1,0\n",
+            "header",
+        );
+        reject(&format!("{CSV_HEADER}\n1,2,3,4\n"), "needs 5 fields");
+        reject(&format!("{CSV_HEADER}\n1,0,1,0,1\n"), "compute_scale");
+        reject(
+            &format!("{CSV_HEADER}\n1,1,1,-9223372036854775808,1\n"),
+            "line 2: node_delta",
+        );
+        reject(
+            &format!("{CSV_HEADER}\n1,1,1,0,1\n2,1,1,0,0\n"),
+            "line 3: straggler_scale",
+        );
+        reject(
+            &format!("{CSV_HEADER}\n1,1,1,0,NaN\n"),
+            "line 2: straggler_scale",
+        );
     }
 }

@@ -55,19 +55,35 @@ impl StragglerModel {
         }
     }
 
-    /// Scales all noise magnitudes by `severity` (0 = none, 1 = default);
-    /// used by the robustness experiment (E9).
+    /// The cloud default with every noise magnitude scaled by
+    /// `severity` (0 = none, 1 = default); used by the robustness
+    /// experiment (E9).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `severity` is negative or non-finite.
     pub fn scaled(severity: f64) -> Self {
+        StragglerModel::cloud_default().with_severity_scaled(severity)
+    }
+
+    /// This model with its magnitudes multiplied by `severity`: node-speed
+    /// CV, task-jitter CV, and transient probability (capped at 0.5).
+    /// The tail shape is kept. This is how a scenario's
+    /// `straggler_scale` lands on the simulator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `severity` is negative or non-finite.
+    pub fn with_severity_scaled(&self, severity: f64) -> Self {
         assert!(
             severity >= 0.0 && severity.is_finite(),
             "severity must be >= 0, got {severity}"
         );
-        let base = StragglerModel::cloud_default();
         StragglerModel {
-            node_speed_cv: base.node_speed_cv * severity,
-            task_jitter_cv: base.task_jitter_cv * severity,
-            transient_prob: (base.transient_prob * severity).min(0.5),
-            transient_shape: base.transient_shape,
+            node_speed_cv: self.node_speed_cv * severity,
+            task_jitter_cv: self.task_jitter_cv * severity,
+            transient_prob: (self.transient_prob * severity).min(0.5),
+            transient_shape: self.transient_shape,
         }
     }
 

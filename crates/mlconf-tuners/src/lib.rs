@@ -26,9 +26,8 @@
 //! - [`drift`] — the dynamic-environment layer: a Page-Hinkley
 //!   [`drift::DriftMonitor`] on repeated-measurement residuals and a
 //!   [`drift::ReTunePolicy`] that censors stale history and re-tunes
-//!   the significant knobs first (experiment E17).
-//! - [`online`] — the runtime reconfiguration controller for condition
-//!   shifts (experiment E8).
+//!   the significant knobs first (experiment E17). Experiment E8's
+//!   runtime reconfiguration uses the same monitor.
 //!
 //! # Examples
 //!
@@ -61,7 +60,6 @@ pub mod halving;
 pub mod history_io;
 pub mod hyperband;
 pub mod importance;
-pub mod online;
 pub mod pareto;
 pub mod portfolio;
 pub mod random;

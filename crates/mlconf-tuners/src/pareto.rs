@@ -3,11 +3,12 @@
 //!
 //! Faster clusters are more expensive; the interesting answer is rarely
 //! one configuration but the *frontier* of non-dominated trade-offs.
-//! Every [`TrialOutcome`] already carries both objectives, so the
-//! frontier comes almost for free: run the single-objective tuner a few
-//! times with different emphases (pure time, pure cost, and a spread of
-//! deadline-penalized compromises), pool every trial ever evaluated, and
-//! keep the non-dominated set.
+//! Every [`TrialOutcome`](mlconf_workloads::objective::TrialOutcome)
+//! already carries both objectives, so the frontier comes almost for
+//! free: run the single-objective tuner a few times with different
+//! emphases (pure time, pure cost, and a spread of deadline-penalized
+//! compromises), pool every trial ever evaluated, and keep the
+//! non-dominated set.
 
 use mlconf_space::config::Configuration;
 use mlconf_util::rng::Pcg64;

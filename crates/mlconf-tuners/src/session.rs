@@ -2191,7 +2191,7 @@ mod tests {
                 env: EnvState {
                     compute_scale: 0.25,
                     net_scale: 0.1,
-                    node_delta: 0,
+                    ..EnvState::neutral()
                 },
             });
             script

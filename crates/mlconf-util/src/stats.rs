@@ -128,51 +128,6 @@ impl FromIterator<f64> for OnlineStats {
     }
 }
 
-/// Exponentially weighted moving average with smoothing factor `alpha`.
-///
-/// Used by the online reconfiguration controller to smooth throughput
-/// observations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha` in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "ewma alpha must be in (0,1], got {alpha}"
-        );
-        Ewma { alpha, value: None }
-    }
-
-    /// Feeds an observation and returns the updated average.
-    pub fn push(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(prev) => prev + self.alpha * (x - prev),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current value, if any observation has been fed.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Clears the accumulated state.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-}
-
 /// Returns the `q`-quantile (0 ≤ q ≤ 1) of `values` using linear
 /// interpolation between order statistics (type-7, the numpy default).
 ///
@@ -327,23 +282,6 @@ mod tests {
         let mut e = OnlineStats::new();
         e.merge(&before);
         assert_eq!(e, before);
-    }
-
-    #[test]
-    fn ewma_behaviour() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        assert_eq!(e.push(10.0), 10.0);
-        assert_eq!(e.push(0.0), 5.0);
-        assert_eq!(e.push(5.0), 5.0);
-        e.reset();
-        assert_eq!(e.value(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn ewma_rejects_bad_alpha() {
-        Ewma::new(0.0);
     }
 
     #[test]

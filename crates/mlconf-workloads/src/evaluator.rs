@@ -28,7 +28,6 @@ pub struct ConfigEvaluator {
     sim_opts: SimOptions,
     base_seed: u64,
     scenario: Option<ScenarioScript>,
-    pin_epoch: Option<f64>,
 }
 
 impl ConfigEvaluator {
@@ -41,7 +40,6 @@ impl ConfigEvaluator {
             sim_opts: SimOptions::default(),
             base_seed,
             scenario: None,
-            pin_epoch: None,
         }
     }
 
@@ -66,27 +64,10 @@ impl ConfigEvaluator {
         self.scenario.as_ref()
     }
 
-    /// A copy of this evaluator frozen at scenario epoch `epoch_secs`:
-    /// every evaluation (tagged or not) sees the environment in force at
-    /// that instant. This is how E17's re-tuning sessions optimize
-    /// against "the cluster as it is right now".
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epoch_secs` is negative or non-finite.
-    pub fn pinned_at(mut self, epoch_secs: f64) -> Self {
-        assert!(
-            epoch_secs >= 0.0 && epoch_secs.is_finite(),
-            "pin epoch must be finite and >= 0, got {epoch_secs}"
-        );
-        self.pin_epoch = Some(epoch_secs);
-        self
-    }
-
     /// The scenario environment an evaluation tagged `epoch_secs` sees
-    /// (a pin epoch overrides the tag; no scenario means neutral).
+    /// (no tag or no scenario means neutral).
     pub fn env_for(&self, epoch_secs: Option<f64>) -> EnvState {
-        match (&self.scenario, self.pin_epoch.or(epoch_secs)) {
+        match (&self.scenario, epoch_secs) {
             (Some(s), Some(t)) => s.env_at(t),
             _ => EnvState::neutral(),
         }
@@ -134,11 +115,7 @@ impl ConfigEvaluator {
         rep: u64,
         fidelity: f64,
     ) -> TrialOutcome {
-        assert!(
-            fidelity > 0.0 && fidelity <= 1.0,
-            "fidelity must be in (0,1], got {fidelity}"
-        );
-        self.evaluate_env(cfg, rep, fidelity, &self.env_for(None))
+        self.evaluate_with_fidelity_at(cfg, rep, fidelity, None)
     }
 
     /// [`Self::evaluate_with_fidelity`] at scenario epoch `epoch_secs`:
@@ -608,10 +585,35 @@ mod tests {
         );
         // Untagged evaluations still see the static world.
         assert_eq!(ev.true_objective(&cfg).unwrap(), before);
-        // A pinned evaluator freezes the epoch for every path.
-        let pinned = ev.clone().pinned_at(2_000.0);
-        assert_eq!(pinned.true_objective(&cfg).unwrap(), after);
-        assert_eq!(pinned.true_objective_at(&cfg, Some(0.0)).unwrap(), after);
+    }
+
+    #[test]
+    fn straggler_shift_moves_measurements_but_not_truth() {
+        use mlconf_sim::scenario::{EnvState, ScenarioEvent, ScenarioScript};
+        let mut script = ScenarioScript::stationary("stragglers");
+        script.push(ScenarioEvent {
+            at_secs: 1_000.0,
+            env: EnvState {
+                straggler_scale: 8.0,
+                ..EnvState::neutral()
+            },
+        });
+        let ev = evaluator().with_scenario(script);
+        let cfg = crate::tunespace::default_config(16);
+        let calm = ev.evaluate_with_fidelity_at(&cfg, 0, 1.0, Some(0.0));
+        let noisy = ev.evaluate_with_fidelity_at(&cfg, 0, 1.0, Some(2_000.0));
+        assert_eq!(calm, ev.evaluate(&cfg, 0));
+        assert!(
+            noisy.throughput < calm.throughput,
+            "8x stragglers must slow the measured run: {} -> {}",
+            calm.throughput,
+            noisy.throughput
+        );
+        // The noise-free truth strips stragglers by design.
+        assert_eq!(
+            ev.true_objective_at(&cfg, Some(2_000.0)),
+            ev.true_objective(&cfg)
+        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! together with every substrate it needs: a typed configuration space,
 //! a from-scratch Gaussian-process/BO stack, a discrete-event cluster
 //! simulator (parameter server and ring all-reduce), workload and
-//! convergence models, baseline tuners, and an online reconfiguration
-//! controller.
+//! convergence models, baseline tuners, and drift detection that re-tunes
+//! when scripted cluster conditions shift.
 //!
 //! This crate is the facade: it re-exports each layer under a stable
 //! module name. Downstream users depend on `mlconf` alone.
@@ -22,7 +22,7 @@
 //! | [`gp`] | `mlconf-gp` | GP regression, acquisitions, hyperparameter fitting |
 //! | [`sim`] | `mlconf-sim` | the cluster: machines, network, PS/all-reduce engines, stragglers, OOM, failures |
 //! | [`workloads`] | `mlconf-workloads` | the job suite, convergence laws, objectives, evaluator |
-//! | [`tuners`] | `mlconf-tuners` | BO tuner + baselines, tuning sessions, online controller |
+//! | [`tuners`] | `mlconf-tuners` | BO tuner + baselines, tuning sessions, drift re-tuning |
 //!
 //! ## Quickstart
 //!
