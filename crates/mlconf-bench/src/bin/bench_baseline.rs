@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Records the surrogate fast-path baselines to `BENCH_gp.json`.
 //!
 //! Unlike the criterion benches (interactive, human-read), this runner

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Experiment harness reproducing the paper-style evaluation.
 //!
 //! Layout:

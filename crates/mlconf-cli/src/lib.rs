@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Command-line interface for the `mlconf` tuner.
 //!
 //! The binary (`mlconf`) wraps four commands:

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `mlconf` binary entry point: parse, dispatch, print.
 
 use std::process::ExitCode;

@@ -12,6 +12,34 @@ fn mlconf(args: &[&str]) -> std::process::Output {
         .expect("binary runs")
 }
 
+/// A spawned `mlconf serve`, killed even when an assertion panics, so a
+/// failing test never leaks a live server process.
+struct KillOnDrop(std::process::Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        self.0.kill().ok();
+        self.0.wait().ok();
+    }
+}
+
+impl KillOnDrop {
+    /// Reads the server's banner, printed with the real bound port
+    /// before it starts blocking, and returns it with the address.
+    fn banner(&mut self) -> (String, String) {
+        use std::io::{BufRead, BufReader};
+        let mut stdout = BufReader::new(self.0.stdout.take().expect("stdout is piped"));
+        let mut banner = String::new();
+        stdout.read_line(&mut banner).unwrap();
+        let addr = banner
+            .split_whitespace()
+            .find(|w| w.starts_with("127.0.0.1:"))
+            .unwrap_or_else(|| panic!("no address in banner: {banner}"))
+            .to_owned();
+        (banner, addr)
+    }
+}
+
 #[test]
 fn help_exits_zero() {
     let out = mlconf(&["help"]);
@@ -233,18 +261,8 @@ fn tune_fails_loudly_when_outputs_cannot_be_written() {
 
 #[test]
 fn serve_end_to_end_over_real_sockets() {
-    use std::io::{BufRead, BufReader, Read, Write};
+    use std::io::{Read, Write};
     use std::net::TcpStream;
-
-    // Kill the server even when an assertion below panics, so a failing
-    // test never leaks a live server process.
-    struct KillOnDrop(std::process::Child);
-    impl Drop for KillOnDrop {
-        fn drop(&mut self) {
-            self.0.kill().ok();
-            self.0.wait().ok();
-        }
-    }
 
     let dir = std::env::temp_dir().join(format!("mlconf_bin_serve_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -263,16 +281,7 @@ fn serve_end_to_end_over_real_sockets() {
             .spawn()
             .expect("binary spawns"),
     );
-    // The server prints its bound address (with the real port) before
-    // it starts blocking.
-    let mut stdout = BufReader::new(child.0.stdout.take().unwrap());
-    let mut banner = String::new();
-    stdout.read_line(&mut banner).unwrap();
-    let addr = banner
-        .split_whitespace()
-        .find(|w| w.starts_with("127.0.0.1:"))
-        .unwrap_or_else(|| panic!("no address in banner: {banner}"))
-        .to_owned();
+    let (banner, addr) = child.banner();
     // The banner echoes the effective shard count — catches a --shards
     // flag that parses but is silently dropped.
     assert!(banner.contains("(3 shards"), "{banner}");
@@ -321,6 +330,62 @@ fn serve_end_to_end_over_real_sockets() {
         .any(|e| e.path().join("s1.jsonl").exists());
     assert!(journaled, "journal written under a shard subdirectory");
 
+    drop(child);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// utime + stime of process `pid`, in clock ticks (`/proc/<pid>/stat`
+/// fields 14 and 15, counted after the parenthesised command name).
+#[cfg(target_os = "linux")]
+fn cpu_ticks(pid: u32) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("process is alive");
+    let fields: Vec<&str> = stat
+        .rsplit_once(')')
+        .expect("stat has a command name")
+        .1
+        .split_whitespace()
+        .collect();
+    fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_backs_off_when_accept_keeps_failing() {
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    // At a 40-fd limit the server runs out of descriptors well before
+    // 100 connections, so every further accept fails with EMFILE while
+    // the connection stays queued in the backlog.
+    let dir = std::env::temp_dir().join(format!("mlconf_bin_emfile_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut child = KillOnDrop(
+        Command::new("sh")
+            .args([
+                "-c",
+                r#"ulimit -n 40; exec "$0" serve --addr 127.0.0.1:0 --journal-dir "$1""#,
+                env!("CARGO_BIN_EXE_mlconf"),
+                dir.to_str().unwrap(),
+            ])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("shell spawns"),
+    );
+    let (_, addr) = child.banner();
+    let conns: Vec<TcpStream> = (0..100)
+        .map(|_| TcpStream::connect(&addr).expect("the backlog holds the connection"))
+        .collect();
+    std::thread::sleep(Duration::from_millis(200));
+
+    let pid = child.0.id();
+    let before = cpu_ticks(pid);
+    std::thread::sleep(Duration::from_secs(1));
+    let used = cpu_ticks(pid) - before;
+    assert!(
+        used < 20,
+        "server burned {used} clock ticks in 1 s retrying a failing accept"
+    );
+    drop(conns);
     drop(child);
     std::fs::remove_dir_all(&dir).ok();
 }

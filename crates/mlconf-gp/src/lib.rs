@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Gaussian-process regression and acquisition functions for Bayesian
 //! optimization, written from scratch on `mlconf-util`'s dense linear
 //! algebra (the Rust BO ecosystem is too immature to depend on — the

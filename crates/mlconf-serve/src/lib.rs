@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 //! `mlconf-serve` — a Vizier-style ask/tell tuning service over a
 //! hand-rolled HTTP/1.1 stack, with per-session JSONL journaling and
 //! replay-based crash recovery.
@@ -24,12 +26,14 @@
 //!
 //! The crate is dependency-free beyond the workspace (the HTTP layer
 //! sits directly on [`std::net::TcpListener`]; JSON is parsed by
-//! [`json`]).
+//! [`json`]). Idle IO shards block in `poll(2)`, declared against the C
+//! library std already links, so the crate is unix-only.
 
 pub mod api;
 pub mod client;
 pub mod http;
 pub mod journal;
+mod poll;
 pub mod quota;
 pub mod registry;
 pub mod server;

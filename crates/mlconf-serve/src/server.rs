@@ -6,8 +6,14 @@
 //! shard with room (bounded by `queue_depth + 1` connections per
 //! shard). Each shard thread multiplexes its connections with
 //! non-blocking reads, incremental request framing
-//! ([`crate::http::frame_len`]), and buffered non-blocking writes,
-//! sleeping briefly only when none of its connections made progress.
+//! ([`crate::http::frame_len`]), and buffered non-blocking writes.
+//! When a pass over its connections moves no bytes, the shard blocks in
+//! `poll(2)` until a socket is ready: each connection for reading, or
+//! for writing while a response is pending, plus a per-shard wake
+//! socket the accept thread writes one byte to after each hand-off and
+//! at stop. The wait ends no later than the earliest connection
+//! deadline (`last_activity` plus the idle or write-stall timeout), so
+//! timeouts fire on time and an idle shard makes no timer wake-ups.
 //! Session state is sharded the same way ([`crate::registry`]), so two
 //! requests against different sessions contend on nothing.
 //!
@@ -48,10 +54,13 @@ use crate::http::{
     frame_len, read_request, write_response_with_retry, ReadError, ReadLimits, Request,
 };
 use crate::json::{obj, parse, Json};
+use crate::poll::{PollFd, POLLIN, POLLOUT};
 use crate::quota::TenantQuotas;
 use crate::registry::{lock_recover, RegistryConfig, ServeError, SessionRegistry};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -61,11 +70,6 @@ use std::time::{Duration, Instant};
 /// `Retry-After` value (seconds) sent on shed (429 capacity) and drain
 /// (503) responses. Quota 429s compute their own from the refill rate.
 const RETRY_AFTER_SECS: u64 = 1;
-
-/// How long an IO shard sleeps when none of its connections made
-/// progress in a pass. Small enough to keep added latency well under a
-/// millisecond; large enough that idle shards cost ~no CPU.
-const POLL_INTERVAL: Duration = Duration::from_micros(200);
 
 /// Server tunables.
 #[derive(Debug, Clone)]
@@ -125,12 +129,41 @@ impl ServeConfig {
 }
 
 /// One IO shard's accept-side state: the mailbox the accept
-/// thread pushes new connections into, and the connection count that
+/// thread pushes new connections into, the connection count that
 /// bounds it (owned + handed-off, so shedding is decided without
-/// touching the shard thread).
+/// touching the shard thread), and the non-blocking wake socket pair
+/// that interrupts the shard's readiness wait.
 struct IoShard {
     inbox: Mutex<Vec<TcpStream>>,
     conns: AtomicUsize,
+    wake_tx: UnixStream,
+    wake_rx: UnixStream,
+}
+
+impl IoShard {
+    fn new() -> std::io::Result<Self> {
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        Ok(IoShard {
+            inbox: Mutex::new(Vec::new()),
+            conns: AtomicUsize::new(0),
+            wake_tx,
+            wake_rx,
+        })
+    }
+
+    /// Makes the shard's current or next readiness wait return. A full
+    /// socket buffer (`WouldBlock`) already holds a pending wake-up.
+    fn wake(&self) {
+        let _ = (&self.wake_tx).write(&[1]);
+    }
+
+    /// Consumes every pending wake-up byte.
+    fn drain_wakes(&self) {
+        let mut sink = [0u8; 64];
+        while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
+    }
 }
 
 /// Everything the accept loop, IO shards, and request handlers share.
@@ -194,14 +227,9 @@ impl Server {
         )?);
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let io_shards: Vec<Arc<IoShard>> = (0..nshards)
-            .map(|_| {
-                Arc::new(IoShard {
-                    inbox: Mutex::new(Vec::new()),
-                    conns: AtomicUsize::new(0),
-                })
-            })
-            .collect();
+        let io_shards = (0..nshards)
+            .map(|_| IoShard::new().map(Arc::new))
+            .collect::<std::io::Result<Vec<_>>>()?;
         let ctx = Arc::new(Ctx {
             registry,
             quotas: TenantQuotas::new(config.tenant_rps, config.tenant_burst),
@@ -280,7 +308,13 @@ fn accept_loop(listener: &TcpListener, ctx: &Ctx) {
             drain(listener, ctx);
             break;
         }
-        let Ok(stream) = stream else { continue };
+        let Ok(stream) = stream else {
+            // A persistent error (at the fd limit, EMFILE leaves the
+            // connection in the backlog) fails again at once: back off
+            // instead of spinning a core on retries.
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
         let mut stream = Some(stream);
         for i in 0..nshards {
             let k = (next + i) % nshards;
@@ -290,6 +324,7 @@ fn accept_loop(listener: &TcpListener, ctx: &Ctx) {
             if shard.conns.load(Ordering::Relaxed) < ctx.capacity {
                 shard.conns.fetch_add(1, Ordering::Relaxed);
                 lock_recover(&shard.inbox).push(stream.take().expect("stream not yet placed"));
+                shard.wake();
                 break;
             }
         }
@@ -299,6 +334,9 @@ fn accept_loop(listener: &TcpListener, ctx: &Ctx) {
         }
     }
     ctx.stop.store(true, Ordering::SeqCst);
+    for shard in &ctx.io_shards {
+        shard.wake();
+    }
 }
 
 /// Answers a connection the server will not serve (saturation or drain)
@@ -338,11 +376,13 @@ fn drain(listener: &TcpListener, ctx: &Ctx) {
 }
 
 /// One IO shard: adopts handed-off connections, then loops pumping each
-/// one (read → frame → handle → write) without ever blocking, so a slow
-/// peer can't stall its neighbors.
+/// one (read → frame → handle → write) without ever blocking on a
+/// single socket, so a slow peer can't stall its neighbors. A pass that
+/// moves nothing ends in [`wait_for_readiness`].
 fn shard_loop(k: usize, ctx: &Ctx) {
     let shard = &ctx.io_shards[k];
     let mut conns: Vec<Conn> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     loop {
         {
             let mut inbox = lock_recover(&shard.inbox);
@@ -374,14 +414,40 @@ fn shard_loop(k: usize, ctx: &Ctx) {
             }
         });
         if !progress {
-            std::thread::sleep(POLL_INTERVAL);
+            wait_for_readiness(shard, &conns, &mut fds, &ctx.config);
         }
     }
 }
 
+/// Blocks in `poll(2)` until the wake socket or one of `conns` is ready
+/// for what it waits on, or the earliest connection deadline passes
+/// (no timeout without connections), then consumes the wake-ups. A
+/// hand-off that lands after this pass drained the inbox left a wake
+/// byte, so the wait returns at once and no hand-off is missed.
+fn wait_for_readiness(
+    shard: &IoShard,
+    conns: &[Conn],
+    fds: &mut Vec<PollFd>,
+    config: &ServeConfig,
+) {
+    fds.clear();
+    fds.push(PollFd::new(shard.wake_rx.as_raw_fd(), POLLIN));
+    let mut deadline: Option<Instant> = None;
+    for conn in conns {
+        let (events, due) = conn.interest(config);
+        fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+        if let Some(due) = due {
+            deadline = Some(deadline.map_or(due, |d| d.min(due)));
+        }
+    }
+    let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+    crate::poll::wait(fds, timeout);
+    shard.drain_wakes();
+}
+
 /// What one pump pass did with a connection.
 enum Pump {
-    /// Bytes moved or a request was served; poll again immediately.
+    /// Bytes moved or a request was served; pump again without waiting.
     Progress,
     /// Nothing to do; the connection stays registered.
     Idle,
@@ -422,6 +488,19 @@ impl Conn {
             last_activity: Instant::now(),
             close_after_write: false,
         }
+    }
+
+    /// What the connection waits for, and until when: the rest of a
+    /// pending response within the write-stall timeout, otherwise
+    /// request bytes within the idle timeout (`None` when the deadline
+    /// is unrepresentable, i.e. effectively never).
+    fn interest(&self, config: &ServeConfig) -> (i16, Option<Instant>) {
+        let (events, timeout) = if self.out.is_empty() {
+            (POLLIN, config.read_timeout)
+        } else {
+            (POLLOUT, config.write_timeout)
+        };
+        (events, self.last_activity.checked_add(timeout))
     }
 
     /// One non-blocking pass: flush pending writes, read what's

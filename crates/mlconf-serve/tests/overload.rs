@@ -111,3 +111,56 @@ fn drain_mode_answers_new_connections_with_503() {
     server.join();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn idle_connection_is_closed_at_its_read_timeout() {
+    let dir = tmpdir("idle_deadline");
+    let mut config = ServeConfig::new(dir.clone());
+    config.shards = 1;
+    config.read_timeout = Duration::from_millis(200);
+    let server = Server::bind("127.0.0.1:0", config).unwrap();
+
+    // A connection that never sends: the shard has nothing to read, so
+    // only the idle deadline can end its wait and close the socket.
+    let mut silent = TcpStream::connect(server.local_addr()).unwrap();
+    silent
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let start = Instant::now();
+    let mut byte = [0u8; 1];
+    let read = silent.read(&mut byte);
+    let waited = start.elapsed();
+    assert!(
+        matches!(read, Ok(0)),
+        "the server must close the idle connection: {read:?}"
+    );
+    assert!(
+        waited < Duration::from_secs(2),
+        "idle connection closed only after {waited:?}"
+    );
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn shutdown_of_an_idle_server_returns_promptly() {
+    let dir = tmpdir("idle_shutdown");
+    let server = Server::bind("127.0.0.1:0", ServeConfig::new(dir.clone())).unwrap();
+    let handle = server.handle();
+    // Every shard is idle and waiting: stop must wake them all. Join on
+    // a helper thread so a shard that never wakes fails the test
+    // instead of hanging it.
+    std::thread::sleep(Duration::from_millis(200));
+    let (joined_tx, joined) = std::sync::mpsc::channel();
+    handle.shutdown();
+    let joiner = std::thread::spawn(move || {
+        server.join();
+        joined_tx.send(()).ok();
+    });
+    assert!(
+        joined.recv_timeout(Duration::from_secs(1)).is_ok(),
+        "shutdown + join of an idle server took over 1 s"
+    );
+    joiner.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}

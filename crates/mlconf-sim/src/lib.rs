@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Discrete-event simulator of distributed machine-learning training
 //! clusters.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Typed configuration spaces for distributed-ML tuning.
 //!
 //! A [`space::ConfigSpace`] declares the tunable knobs of a distributed

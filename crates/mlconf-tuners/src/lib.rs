@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Configuration tuners for distributed machine learning — the paper's
 //! primary contribution plus every baseline its evaluation compares
 //! against.

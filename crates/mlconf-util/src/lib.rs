@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Numeric substrate for the `mlconf` workspace.
 //!
 //! This crate deliberately has no dependency on the rest of the workspace;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # mlconf — automating system configuration of distributed machine learning
 //!
 //! `mlconf` is a full reconstruction of a Bayesian-optimization-based
