@@ -7,11 +7,11 @@
 //!
 //! - `extend_vs_refit`: full GP refit vs incremental `extend` of one
 //!   point at n = 80 and n = 200 (the acceptance bar is ≥5× at 200).
-//! - `hyperopt`: `fit_optimized` wall time sequential (`threads = 1`)
-//!   vs auto threads at n = 60 and n = 200. On a single-core box these
-//!   are expected to tie — the numbers are recorded honestly either
-//!   way, and the n = 200 acceptance boolean treats a single-core host
-//!   as a degenerate pass (there is nothing to parallelize over);
+//! - `hyperopt`: `fit_optimized` wall time sequential (`set_threads(1)`)
+//!   vs the default thread count at n = 60 and n = 200. On a single-core
+//!   box these are expected to tie — the numbers are recorded honestly
+//!   either way, and the n = 200 acceptance boolean treats a single-core
+//!   host as a degenerate pass (there is nothing to parallelize over);
 //!   correctness is guaranteed bit-identical by construction and tests.
 //! - `predict_many`: per-point posterior cost at batch 1 / 256 / 4096.
 //! - `sparse`: the E16 surrogate-at-scale numbers — regret parity of
@@ -45,7 +45,7 @@ use mlconf_gp::{PredictWorkspace, Surrogate};
 use mlconf_sim::cluster::{machine_by_name, ClusterSpec};
 use mlconf_sim::engine::{simulate, SimOptions};
 use mlconf_sim::runconfig::{Arch, RunConfig, SyncMode};
-use mlconf_util::optim::auto_threads;
+use mlconf_util::optim::{auto_threads, set_threads};
 use mlconf_util::rng::Pcg64;
 use mlconf_util::sampling::latin_hypercube;
 use mlconf_workloads::workload::by_name;
@@ -123,12 +123,10 @@ fn hyperopt_timing(n: usize, reps: usize) -> (String, f64) {
     let (xs, ys) = training_data(n);
     let template = Kernel::new(KernelFamily::Matern52, DIMS);
     let time_with = |threads: usize| {
+        set_threads(threads);
         median_secs(reps, || {
             let mut rng = Pcg64::seed(2);
-            let opts = HyperoptOptions {
-                threads,
-                ..HyperoptOptions::default()
-            };
+            let opts = HyperoptOptions::default();
             std::hint::black_box(
                 fit_optimized(&template, &xs, &ys, &opts, &mut rng).expect("hyperopt"),
             );

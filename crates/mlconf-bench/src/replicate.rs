@@ -6,6 +6,7 @@ use crossbeam::thread;
 use mlconf_tuners::executor::TrialExecutor;
 use mlconf_tuners::session::{StopCondition, TuneResult, TuningSession};
 use mlconf_tuners::tuner::Tuner;
+use mlconf_util::optim::set_threads;
 use mlconf_workloads::evaluator::ConfigEvaluator;
 use mlconf_workloads::objective::Objective;
 use mlconf_workloads::workload::Workload;
@@ -15,7 +16,8 @@ use mlconf_workloads::workload::Workload;
 pub type TunerFactory<'a> = dyn Fn(&ConfigEvaluator, u64) -> Box<dyn Tuner> + Sync + 'a;
 
 /// Runs `factory`'s tuner across `seeds`, one evaluator per seed, in
-/// parallel. The evaluator's base seed doubles as the tuner/driver seed
+/// parallel: one thread per seed, each running its tuner's GP work at
+/// one thread. The evaluator's base seed doubles as the tuner/driver seed
 /// so each replicate is fully determined by its seed. `conditions` is
 /// the stop-condition stack applied to every replicate (empty = full
 /// budget).
@@ -63,6 +65,9 @@ pub fn replicate_executed(
             .map(|&seed| {
                 let workload = workload.clone();
                 s.spawn(move |_| {
+                    // The seeds already run side by side: keep each
+                    // replicate's GP work on its own thread.
+                    set_threads(1);
                     let evaluator = ConfigEvaluator::new(workload, objective, max_nodes, seed);
                     let mut tuner = factory(&evaluator, seed);
                     TuningSession::new(&evaluator, budget, seed)

@@ -6,7 +6,7 @@
 //! accuracy, cost) is minimized, so "improvement" means falling below the
 //! incumbent.
 
-use mlconf_util::optim::{auto_threads, nelder_mead, NelderMeadOptions};
+use mlconf_util::optim::{claim_map, nelder_mead, NelderMeadOptions};
 use mlconf_util::sampling::{halton, uniform_hypercube};
 use mlconf_util::special::{normal_cdf, normal_pdf};
 use rand::Rng;
@@ -106,6 +106,10 @@ pub struct AcquisitionChoice {
     pub value: f64,
 }
 
+/// Candidates scored per [`claim_map`] job: each job reuses one
+/// prediction workspace across its chunk.
+const SCORE_CHUNK: usize = 64;
+
 /// Maximizes the acquisition over `[0,1]^dims` with a hybrid strategy:
 /// a large cheap candidate set (uniform + Halton + perturbations of the
 /// incumbent-best training points implicit in `anchors`), followed by
@@ -113,6 +117,14 @@ pub struct AcquisitionChoice {
 ///
 /// `anchors` (may be empty) are points worth local exploration, typically
 /// the best observed configurations so far.
+///
+/// Scoring and refinement run through [`claim_map`], so they use the
+/// calling thread's [`auto_threads`](mlconf_util::optim::auto_threads)
+/// count. Seed-stable by construction: every random candidate is drawn
+/// from `rng` before any scoring happens, candidate scores land back in
+/// draw order, the sort is stable, and the refined winners fold in rank
+/// order — so for a fixed seed the choice is bit-identical for any
+/// thread count.
 ///
 /// # Panics
 ///
@@ -126,45 +138,11 @@ pub fn maximize_acquisition<S: Surrogate + Sync + ?Sized, R: Rng + ?Sized>(
     anchors: &[Vec<f64>],
     rng: &mut R,
 ) -> AcquisitionChoice {
-    maximize_acquisition_threads(
-        gp,
-        acq,
-        best,
-        dims,
-        n_candidates,
-        anchors,
-        rng,
-        auto_threads(),
-    )
-}
-
-/// [`maximize_acquisition`] with an explicit worker-thread count.
-///
-/// Seed-stable by construction: every random candidate is drawn from
-/// `rng` before any scoring happens, candidate scores land back in draw
-/// order, the sort is stable, and the refined winners fold in rank order
-/// — so for a fixed seed the choice is bit-identical for any `threads`
-/// (`1` forces the sequential path).
-///
-/// # Panics
-///
-/// Panics if `dims == 0` or `n_candidates == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn maximize_acquisition_threads<S: Surrogate + Sync + ?Sized, R: Rng + ?Sized>(
-    gp: &S,
-    acq: Acquisition,
-    best: f64,
-    dims: usize,
-    n_candidates: usize,
-    anchors: &[Vec<f64>],
-    rng: &mut R,
-    threads: usize,
-) -> AcquisitionChoice {
     assert!(dims > 0, "maximize_acquisition needs dims > 0");
     assert!(n_candidates > 0, "need at least one candidate");
 
     // All randomness happens up front, before any (possibly parallel)
-    // scoring: the consumed RNG stream is independent of `threads`.
+    // scoring: the consumed RNG stream is independent of the thread count.
     let mut candidates = uniform_hypercube(n_candidates / 2 + 1, dims, rng);
     if dims <= 16 {
         candidates.extend(halton(n_candidates / 2 + 1, dims));
@@ -182,32 +160,18 @@ pub fn maximize_acquisition_threads<S: Surrogate + Sync + ?Sized, R: Rng + ?Size
         }
     }
 
-    let score_chunk = |points: &[Vec<f64>]| -> Vec<f64> {
+    let chunks: Vec<&[Vec<f64>]> = candidates.chunks(SCORE_CHUNK).collect();
+    let scores = claim_map(chunks.len(), |i| {
         let mut ws = PredictWorkspace::default();
-        points
+        chunks[i]
             .iter()
             .map(|c| {
                 let p = gp.predict_with(c, &mut ws);
                 acq.score(p.mean, p.std_dev(), best)
             })
-            .collect()
-    };
-    let scores: Vec<f64> = if threads <= 1 || candidates.len() < 2 * threads {
-        score_chunk(&candidates)
-    } else {
-        let chunk = candidates.len().div_ceil(threads);
-        crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = candidates
-                .chunks(chunk)
-                .map(|points| s.spawn(move |_| score_chunk(points)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("scoring worker panicked"))
-                .collect()
-        })
-        .expect("scoring scope failed")
-    };
+            .collect::<Vec<f64>>()
+    })
+    .concat();
     let mut scored: Vec<(f64, Vec<f64>)> = scores.into_iter().zip(candidates).collect();
     // Stable sort: candidates with equal scores keep draw order, so the
     // refinement starts below do not depend on the chunking above.
@@ -220,33 +184,14 @@ pub fn maximize_acquisition_threads<S: Surrogate + Sync + ?Sized, R: Rng + ?Size
         initial_step: 0.05,
         ..Default::default()
     };
-    let refine = |start: &[f64]| {
+    let refined = claim_map(scored.len().min(3), |i| {
         let mut ws = PredictWorkspace::default();
         let mut f = |x: &[f64]| {
             let p = gp.predict_with(x, &mut ws);
             -acq.score(p.mean, p.std_dev(), best)
         };
-        nelder_mead(&mut f, start, Some(&bounds), &nm)
-    };
-    let top: Vec<&Vec<f64>> = scored.iter().take(3).map(|(_, c)| c).collect();
-    let refined: Vec<mlconf_util::optim::OptimResult> = if threads <= 1 || top.len() == 1 {
-        top.iter().map(|start| refine(start)).collect()
-    } else {
-        crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = top
-                .iter()
-                .map(|start| {
-                    let start: &[f64] = start;
-                    s.spawn(move |_| refine(start))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("refinement worker panicked"))
-                .collect()
-        })
-        .expect("refinement scope failed")
-    };
+        nelder_mead(&mut f, &scored[i].1, Some(&bounds), &nm)
+    });
 
     // Fold in rank order with strict improvement, matching the
     // sequential loop's earliest-winner tie-breaking.
@@ -270,6 +215,7 @@ mod tests {
     use super::*;
     use crate::gp::GaussianProcess;
     use crate::kernel::{Kernel, KernelFamily};
+    use mlconf_util::optim::set_threads;
     use mlconf_util::rng::Pcg64;
 
     #[test]
@@ -388,21 +334,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_acquisition_bit_identical_to_sequential() {
+    fn acquisition_bit_identical_for_any_thread_count() {
         let gp = fitted_gp();
         let anchors = vec![vec![0.85], vec![0.55]];
-        let sequential = maximize_acquisition_threads(
-            &gp,
-            Acquisition::default_ei(),
-            1.5,
-            1,
-            200,
-            &anchors,
-            &mut Pcg64::seed(9),
-            1,
-        );
-        for threads in [2, 4, 8] {
-            let parallel = maximize_acquisition_threads(
+        let run = |threads: usize| {
+            set_threads(threads);
+            maximize_acquisition(
                 &gp,
                 Acquisition::default_ei(),
                 1.5,
@@ -410,8 +347,11 @@ mod tests {
                 200,
                 &anchors,
                 &mut Pcg64::seed(9),
-                threads,
-            );
+            )
+        };
+        let sequential = run(1);
+        for threads in [2, 4, 8] {
+            let parallel = run(threads);
             assert_eq!(parallel.point, sequential.point, "threads={threads}");
             assert_eq!(
                 parallel.value.to_bits(),
@@ -419,6 +359,7 @@ mod tests {
                 "threads={threads}"
             );
         }
+        set_threads(0);
     }
 
     #[test]

@@ -10,14 +10,13 @@
 //! bit-identical to a fresh allocation — but the O(n²) allocate-and-zero
 //! per evaluation is gone, which matters at n ≥ 200 where the buffer is
 //! hundreds of kilobytes). And the independent restarts are *claimed*
-//! dynamically by scoped worker threads
-//! ([`multi_start_nelder_mead_parallel`]) with seed-stable start points
-//! and start-order folding, so no thread is stranded with all the
-//! expensive restarts and results are bit-identical to sequential
-//! execution for any thread count.
+//! dynamically by the calling thread's workers
+//! ([`multi_start_nelder_mead`]) with seed-stable start points and
+//! start-order folding, so no thread is stranded with all the expensive
+//! restarts and results are bit-identical for any thread count.
 
 use mlconf_util::linalg::Cholesky;
-use mlconf_util::optim::{auto_threads, multi_start_nelder_mead_parallel, NelderMeadOptions};
+use mlconf_util::optim::{multi_start_nelder_mead, NelderMeadOptions};
 use rand::Rng;
 
 use crate::gp::{GaussianProcess, GpError};
@@ -37,10 +36,6 @@ pub struct HyperoptOptions {
     pub log_signal_bounds: (f64, f64),
     /// Bounds for `ln σₙ²` (noise variance), which is optimized jointly.
     pub log_noise_bounds: (f64, f64),
-    /// Worker threads for the restarts: `0` selects the machine's
-    /// available parallelism, `1` forces sequential execution. The fitted
-    /// hyperparameters are bit-identical for any setting.
-    pub threads: usize,
 }
 
 impl Default for HyperoptOptions {
@@ -52,7 +47,6 @@ impl Default for HyperoptOptions {
             log_lengthscale_bounds: ((0.01f64).ln(), (10.0f64).ln()),
             log_signal_bounds: ((0.05f64).ln(), (50.0f64).ln()),
             log_noise_bounds: ((1e-6f64).ln(), (1.0f64).ln()),
-            threads: 0,
         }
     }
 }
@@ -61,8 +55,13 @@ impl Default for HyperoptOptions {
 /// likelihood (kernel lengthscales, signal variance, and observation
 /// noise jointly).
 ///
-/// `template` supplies the kernel family and dimensionality; its current
-/// hyperparameters seed one of the restarts.
+/// `template` supplies the kernel family and dimensionality. Every
+/// restart starts from a point drawn at random within the bounds; the
+/// template's own hyperparameters only give the fallback fit, returned
+/// when no restart beats its marginal likelihood. The restarts use the
+/// calling thread's
+/// [`auto_threads`](mlconf_util::optim::auto_threads) count, and the
+/// result is bit-identical for any count.
 ///
 /// # Errors
 ///
@@ -134,19 +133,7 @@ pub fn fit_optimized<R: Rng + ?Sized>(
         max_evals: opts.max_evals_per_restart,
         ..Default::default()
     };
-    let threads = if opts.threads == 0 {
-        auto_threads()
-    } else {
-        opts.threads
-    };
-    let result = multi_start_nelder_mead_parallel(
-        &objective,
-        &bounds,
-        opts.restarts.max(1),
-        &nm,
-        rng,
-        threads,
-    );
+    let result = multi_start_nelder_mead(&objective, &bounds, opts.restarts.max(1), &nm, rng);
 
     if !result.fx.is_finite() {
         return Ok(fallback);
@@ -166,6 +153,7 @@ pub fn fit_optimized<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::kernel::KernelFamily;
+    use mlconf_util::optim::set_threads;
     use mlconf_util::rng::Pcg64;
 
     fn smooth_data(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -247,7 +235,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_hyperopt_bit_identical_to_sequential() {
+    fn hyperopt_bit_identical_for_any_thread_count() {
         // Seed-stability across thread counts at the golden seeds
         // {11, 22, 33}: the fitted hyperparameters (and hence the whole
         // surrogate) must not depend on parallelism or on the dynamic
@@ -257,29 +245,14 @@ mod tests {
         let (xs, ys) = smooth_data(14);
         let template = Kernel::new(KernelFamily::Matern52, 1);
         for seed in [11u64, 22, 33] {
-            let sequential = fit_optimized(
-                &template,
-                &xs,
-                &ys,
-                &HyperoptOptions {
-                    threads: 1,
-                    ..HyperoptOptions::default()
-                },
-                &mut Pcg64::seed(seed),
-            )
-            .unwrap();
-            for threads in [2, 3, 4, 0] {
-                let parallel = fit_optimized(
-                    &template,
-                    &xs,
-                    &ys,
-                    &HyperoptOptions {
-                        threads,
-                        ..HyperoptOptions::default()
-                    },
-                    &mut Pcg64::seed(seed),
-                )
-                .unwrap();
+            let fit = |threads: usize| {
+                set_threads(threads);
+                let opts = HyperoptOptions::default();
+                fit_optimized(&template, &xs, &ys, &opts, &mut Pcg64::seed(seed)).unwrap()
+            };
+            let sequential = fit(1);
+            for threads in [2, 3, 4, 8, 0] {
+                let parallel = fit(threads);
                 let a = sequential.kernel().log_params();
                 let b = parallel.kernel().log_params();
                 let a_bits: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();

@@ -50,9 +50,7 @@ pub mod sparse;
 pub mod surrogate;
 pub mod workspace;
 
-pub use acquisition::{
-    maximize_acquisition, maximize_acquisition_threads, Acquisition, AcquisitionChoice,
-};
+pub use acquisition::{maximize_acquisition, Acquisition, AcquisitionChoice};
 pub use gp::{GaussianProcess, GpError, PredictWorkspace, Prediction};
 pub use hyperopt::{fit_optimized, HyperoptOptions};
 pub use kernel::{Kernel, KernelFamily};

@@ -15,7 +15,11 @@
 //! deadline (`last_activity` plus the idle or write-stall timeout), so
 //! timeouts fire on time and an idle shard makes no timer wake-ups.
 //! Session state is sharded the same way ([`crate::registry`]), so two
-//! requests against different sessions contend on nothing.
+//! requests against different sessions contend on nothing. A shard
+//! thread runs its requests' tuner work (GP fit, hyperopt, acquisition)
+//! itself at one thread ([`mlconf_util::optim::set_threads`]): the
+//! shards already run side by side, so spawning more would only
+//! oversubscribe the cores.
 //!
 //! Routing (all request/response bodies are JSON):
 //!
@@ -57,6 +61,7 @@ use crate::json::{obj, parse, Json};
 use crate::poll::{PollFd, POLLIN, POLLOUT};
 use crate::quota::TenantQuotas;
 use crate::registry::{lock_recover, RegistryConfig, ServeError, SessionRegistry};
+use mlconf_util::optim::set_threads;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -243,7 +248,10 @@ impl Server {
         let shard_threads = (0..nshards)
             .map(|k| {
                 let ctx = Arc::clone(&ctx);
-                std::thread::spawn(move || shard_loop(k, &ctx))
+                std::thread::spawn(move || {
+                    set_threads(1);
+                    shard_loop(k, &ctx);
+                })
             })
             .collect();
         let accept_ctx = Arc::clone(&ctx);

@@ -311,8 +311,9 @@ impl BoTuner {
         self.kernel.is_none() || history_len >= self.trials_at_last_hyperopt + HYPEROPT_EVERY
     }
 
-    /// Re-optimizes the kernel by marginal likelihood, starting from the
-    /// carried kernel, and carries the result forward.
+    /// Re-optimizes the kernel by marginal likelihood from random
+    /// restarts and carries the result forward. The carried kernel only
+    /// supplies the family and the fallback fit (see [`fit_optimized`]).
     fn hyperopt(
         &mut self,
         xs: &[Vec<f64>],

@@ -6,6 +6,8 @@
 //! inside the unit hypercube.
 
 use rand::Rng;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Options for the Nelder–Mead optimizer.
 #[derive(Debug, Clone, PartialEq)]
@@ -216,8 +218,8 @@ pub fn nelder_mead(
 }
 
 /// Draws the start points for a multi-start run. All points are drawn
-/// up front in start order, so the RNG stream consumed is identical
-/// whether the restarts then run sequentially or in parallel.
+/// up front in start order, so the RNG stream consumed does not depend
+/// on how many threads then run the restarts.
 fn draw_starts<R: Rng + ?Sized>(
     bounds: &[(f64, f64)],
     starts: usize,
@@ -258,114 +260,118 @@ fn fold_best(results: Vec<OptimResult>) -> OptimResult {
     b
 }
 
-/// Runs [`nelder_mead`] from `starts` random points inside `bounds` and
-/// returns the best result.
+thread_local! {
+    /// The calling thread's worker count; `0` means the default.
+    static THREADS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Sets how many threads the calling thread's parallel sections
+/// ([`claim_map`] and everything built on it) may use; `0` restores the
+/// default, the machine's available parallelism. The setting belongs to
+/// the calling thread alone: threads spawned afterwards start at the
+/// default.
+///
+/// A caller that already runs beside others, such as a server thread
+/// serving one request at a time, sets `1` so its GP work stays on its
+/// own thread; a lone caller keeps the default and gets every core.
+pub fn set_threads(n: usize) {
+    THREADS.with(|t| t.set(n));
+}
+
+/// Number of worker threads the calling thread's parallel sections may
+/// use: its [`set_threads`] count, or by default the machine's
+/// available hardware parallelism (1 if unknown). This is the one place
+/// that reads the hardware parallelism.
+#[allow(clippy::disallowed_methods)]
+pub fn auto_threads() -> usize {
+    match THREADS.with(Cell::get) {
+        0 => std::thread::available_parallelism().map_or(1, usize::from),
+        n => n,
+    }
+}
+
+/// Runs `job(0)`, …, `job(jobs - 1)` and returns the results in index
+/// order.
+///
+/// Up to [`auto_threads`] threads — the caller plus scoped helpers —
+/// *claim* indices from a shared counter until none are left. Jobs may
+/// vary widely in cost (a Nelder–Mead start near a flat region converges
+/// in a handful of steps, one across a ridge burns its whole budget), so
+/// claiming keeps every thread busy where a static split could strand
+/// one thread with all the expensive jobs. At one thread, or one job,
+/// everything runs on the caller's thread and nothing is spawned.
+///
+/// Which thread ran a job is scheduling noise: each result lands in its
+/// job's slot, so for a `job` that is a deterministic function of its
+/// index the output is bit-identical for any thread count.
 ///
 /// # Panics
 ///
-/// Panics if `bounds` is empty, any `lo > hi`, or `starts == 0`.
-pub fn multi_start_nelder_mead<R: Rng + ?Sized>(
-    f: &mut dyn FnMut(&[f64]) -> f64,
-    bounds: &[(f64, f64)],
-    starts: usize,
-    opts: &NelderMeadOptions,
-    rng: &mut R,
-) -> OptimResult {
-    assert!(!bounds.is_empty(), "empty bounds");
-    assert!(starts > 0, "starts must be positive");
-    let results = draw_starts(bounds, starts, rng)
-        .iter()
-        .map(|x0| nelder_mead(f, x0, Some(bounds), opts))
-        .collect();
-    fold_best(results)
+/// Propagates a panic from `job`.
+pub fn claim_map<T: Send>(jobs: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let threads = auto_threads().min(jobs);
+    if threads <= 1 {
+        return (0..jobs).map(job).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the counter only hands out indices; results come
+            // back through the join, which orders them.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= jobs {
+                return done;
+            }
+            done.push((i, job(i)));
+        }
+    };
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(jobs).collect();
+    crossbeam::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(|_| claim())).collect();
+        let mine = claim();
+        let theirs = helpers
+            .into_iter()
+            .flat_map(|h| h.join().expect("claim_map worker panicked"));
+        for (i, r) in mine.into_iter().chain(theirs) {
+            slots[i] = Some(r);
+        }
+    })
+    .expect("claim_map scope failed");
+    slots
+        .into_iter()
+        .map(|r| r.expect("every job claimed exactly once"))
+        .collect()
 }
 
-/// Number of worker threads for automatic parallelism decisions: the
-/// machine's available hardware parallelism, or 1 if unknown.
-pub fn auto_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Parallel variant of [`multi_start_nelder_mead`]: the independent
-/// restarts run on up to `threads` scoped worker threads that *claim*
-/// starts dynamically from a shared counter. Restarts vary widely in
-/// evaluation count (a start near a flat region converges in a handful
-/// of simplex steps, one across a ridge burns the whole budget), so
-/// static contiguous chunking can strand one thread with every
-/// expensive start while the rest idle — the self-scheduling queue
-/// keeps all workers busy until the last start is claimed.
+/// Runs [`nelder_mead`] from `starts` random points inside `bounds` and
+/// returns the best result. The restarts run through [`claim_map`], so
+/// they use the calling thread's [`auto_threads`] count.
 ///
 /// Seed-stable by construction: every start point is drawn from `rng`
 /// up front in start order (a Nelder–Mead run itself consumes no
 /// randomness), each restart is a deterministic function of its start
-/// point, results land in per-start slots regardless of which worker
-/// ran them, and the winner is folded in start order with the same
-/// tie-breaking as the sequential version — so for any `threads` the
-/// result is bit-identical to `threads == 1`, which in turn matches
-/// [`multi_start_nelder_mead`].
+/// point, and the winner is folded in start order, keeping the earliest
+/// of equal values — so the result is bit-identical for any thread
+/// count.
 ///
 /// # Panics
 ///
 /// Panics if `bounds` is empty, any `lo > hi`, or `starts == 0`, and
 /// propagates panics from objective evaluations on worker threads.
-pub fn multi_start_nelder_mead_parallel<R: Rng + ?Sized>(
+pub fn multi_start_nelder_mead<R: Rng + ?Sized>(
     f: &(dyn Fn(&[f64]) -> f64 + Sync),
     bounds: &[(f64, f64)],
     starts: usize,
     opts: &NelderMeadOptions,
     rng: &mut R,
-    threads: usize,
 ) -> OptimResult {
     assert!(!bounds.is_empty(), "empty bounds");
     assert!(starts > 0, "starts must be positive");
     let start_points = draw_starts(bounds, starts, rng);
-    let results: Vec<OptimResult> = if threads <= 1 || starts == 1 {
-        start_points
-            .iter()
-            .map(|x0| nelder_mead(&mut |x| f(x), x0, Some(bounds), opts))
-            .collect()
-    } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let indexed: Vec<(usize, OptimResult)> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads.min(starts))
-                .map(|_| {
-                    let next = &next;
-                    let start_points = &start_points;
-                    s.spawn(move |_| {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= start_points.len() {
-                                break;
-                            }
-                            let r =
-                                nelder_mead(&mut |x| f(x), &start_points[i], Some(bounds), opts);
-                            out.push((i, r));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("restart worker panicked"))
-                .collect()
-        })
-        .expect("restart scope failed");
-        // Re-establish start order: which worker ran a restart is
-        // scheduling noise and must not leak into the fold below.
-        let mut slots: Vec<Option<OptimResult>> = vec![None; starts];
-        for (i, r) in indexed {
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|r| r.expect("every start claimed exactly once"))
-            .collect()
-    };
-    fold_best(results)
+    fold_best(claim_map(starts, |i| {
+        nelder_mead(&mut |x| f(x), &start_points[i], Some(bounds), opts)
+    }))
 }
 
 /// Golden-section search for the minimum of a unimodal 1-D function on
@@ -407,6 +413,7 @@ pub fn golden_section(f: &mut dyn FnMut(f64) -> f64, lo: f64, hi: f64, iters: us
 mod tests {
     use super::*;
     use crate::rng::Pcg64;
+    use std::collections::HashSet;
 
     fn sphere(x: &[f64]) -> f64 {
         x.iter().map(|v| v * v).sum()
@@ -483,21 +490,28 @@ mod tests {
     #[test]
     fn multi_start_escapes_local_minimum() {
         // Double well: minima at x=-1 (f=-1) and x=2 (f=-2).
-        let mut f = |x: &[f64]| {
+        let f = |x: &[f64]| {
             let x = x[0];
             let well1 = -1.0 / (1.0 + (x + 1.0).powi(2));
             let well2 = -2.0 / (1.0 + (x - 2.0).powi(2));
             well1 + well2
         };
-        let mut rng = Pcg64::seed(11);
-        let r = multi_start_nelder_mead(
-            &mut f,
-            &[(-6.0, 6.0)],
-            12,
-            &NelderMeadOptions::default(),
-            &mut rng,
-        );
-        assert!((r.x[0] - 2.0).abs() < 0.1, "found {}", r.x[0]);
+        for threads in [1, 4] {
+            set_threads(threads);
+            let r = multi_start_nelder_mead(
+                &f,
+                &[(-6.0, 6.0)],
+                12,
+                &NelderMeadOptions::default(),
+                &mut Pcg64::seed(11),
+            );
+            assert!(
+                (r.x[0] - 2.0).abs() < 0.1,
+                "threads={threads}: found {}",
+                r.x[0]
+            );
+        }
+        set_threads(0);
     }
 
     #[test]
@@ -521,26 +535,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_restarts_bit_identical_to_sequential() {
+    fn restarts_bit_identical_for_any_thread_count() {
         // The core seed-stability contract: for a fixed RNG seed the
-        // parallel optimizer must return exactly the sequential result,
-        // for any thread count.
+        // restarts return exactly the one-thread result, for any thread
+        // count, and leave the caller's RNG in the same state.
         let f = |x: &[f64]| rosenbrock(x) + (3.0 * x[0]).sin();
         let bounds = [(-2.0, 2.0), (-1.0, 3.0)];
         let opts = NelderMeadOptions::default();
-
-        let mut f_mut = f;
-        let sequential =
-            multi_start_nelder_mead(&mut f_mut, &bounds, 6, &opts, &mut Pcg64::seed(42));
-        for threads in [1, 2, 4, 8] {
-            let parallel = multi_start_nelder_mead_parallel(
-                &f,
-                &bounds,
-                6,
-                &opts,
-                &mut Pcg64::seed(42),
-                threads,
-            );
+        let run = |threads: usize| {
+            set_threads(threads);
+            let mut rng = Pcg64::seed(42);
+            let r = multi_start_nelder_mead(&f, &bounds, 6, &opts, &mut rng);
+            (r, rng.gen_range(0.0..1.0))
+        };
+        let (sequential, next_draw) = run(1);
+        for threads in [2, 4, 8] {
+            let (parallel, draw) = run(threads);
             assert_eq!(parallel.x, sequential.x, "threads={threads}");
             assert_eq!(
                 parallel.fx.to_bits(),
@@ -548,44 +558,66 @@ mod tests {
                 "threads={threads}"
             );
             assert_eq!(parallel.evals, sequential.evals, "threads={threads}");
+            assert_eq!(draw, next_draw, "threads={threads}");
+        }
+        set_threads(0);
+    }
+
+    #[test]
+    #[allow(clippy::disallowed_methods)] // checks the default against its source
+    fn thread_count_defaults_to_available_parallelism() {
+        let machine = std::thread::available_parallelism().map_or(1, usize::from);
+        assert_eq!(auto_threads(), machine);
+    }
+
+    #[test]
+    fn set_threads_sets_and_zero_resets() {
+        let default = auto_threads();
+        set_threads(3);
+        assert_eq!(auto_threads(), 3);
+        set_threads(1);
+        assert_eq!(auto_threads(), 1);
+        set_threads(0);
+        assert_eq!(auto_threads(), default);
+    }
+
+    #[test]
+    fn spawned_threads_start_at_the_default() {
+        let default = auto_threads();
+        set_threads(1);
+        let spawned = std::thread::spawn(auto_threads).join().unwrap();
+        assert_eq!(spawned, default);
+        assert_eq!(auto_threads(), 1, "spawning must not reset the caller");
+        set_threads(0);
+    }
+
+    /// Runs 64 jobs at `threads` and returns the distinct thread ids that
+    /// ran them, checking that results come back in index order.
+    fn claim_map_thread_ids(threads: usize) -> HashSet<std::thread::ThreadId> {
+        set_threads(threads);
+        let out = claim_map(64, |i| {
+            // Enough work per job that helpers get to claim some.
+            let spin: f64 = (0..2_000).map(|k| ((i * k) as f64).sqrt()).sum();
+            (i, std::hint::black_box(spin), std::thread::current().id())
+        });
+        set_threads(0);
+        assert!(out.iter().enumerate().all(|(slot, &(i, _, _))| slot == i));
+        out.into_iter().map(|(_, _, id)| id).collect()
+    }
+
+    #[test]
+    fn claim_map_runs_on_at_most_the_thread_count() {
+        for threads in [2, 3, 4] {
+            let ids = claim_map_thread_ids(threads);
+            assert!(ids.len() <= threads, "{} threads at {threads}", ids.len());
         }
     }
 
     #[test]
-    fn parallel_restarts_consume_same_rng_stream() {
-        // After either variant, the caller's RNG must be in the same
-        // state so downstream draws stay reproducible.
-        let f = |x: &[f64]| sphere(x);
-        let bounds = [(-1.0, 1.0)];
-        let opts = NelderMeadOptions::default();
-        let mut rng_a = Pcg64::seed(5);
-        let mut rng_b = Pcg64::seed(5);
-        let mut f_mut = f;
-        multi_start_nelder_mead(&mut f_mut, &bounds, 4, &opts, &mut rng_a);
-        multi_start_nelder_mead_parallel(&f, &bounds, 4, &opts, &mut rng_b, 3);
-        assert_eq!(rng_a.gen_range(0.0..1.0), rng_b.gen_range(0.0..1.0));
-    }
-
-    #[test]
-    fn parallel_escapes_local_minimum() {
-        let f = |x: &[f64]| {
-            let x = x[0];
-            -1.0 / (1.0 + (x + 1.0).powi(2)) - 2.0 / (1.0 + (x - 2.0).powi(2))
-        };
-        let r = multi_start_nelder_mead_parallel(
-            &f,
-            &[(-6.0, 6.0)],
-            12,
-            &NelderMeadOptions::default(),
-            &mut Pcg64::seed(11),
-            4,
-        );
-        assert!((r.x[0] - 2.0).abs() < 0.1, "found {}", r.x[0]);
-    }
-
-    #[test]
-    fn auto_threads_is_positive() {
-        assert!(auto_threads() >= 1);
+    fn claim_map_at_one_thread_stays_on_the_caller() {
+        let ids = claim_map_thread_ids(1);
+        assert_eq!(ids, HashSet::from([std::thread::current().id()]));
+        assert!(claim_map(0, |i| i).is_empty());
     }
 
     #[test]
@@ -604,11 +636,10 @@ mod tests {
 
     #[test]
     fn degenerate_bounds_dimension_is_held_fixed() {
-        let mut f = |x: &[f64]| sphere(x);
+        let f = |x: &[f64]| sphere(x);
         let bounds = [(2.0, 2.0), (-5.0, 5.0)];
         let mut rng = Pcg64::seed(13);
-        let r =
-            multi_start_nelder_mead(&mut f, &bounds, 3, &NelderMeadOptions::default(), &mut rng);
+        let r = multi_start_nelder_mead(&f, &bounds, 3, &NelderMeadOptions::default(), &mut rng);
         assert!((r.x[0] - 2.0).abs() < 1e-12);
         assert!(r.x[1].abs() < 1e-2);
     }
