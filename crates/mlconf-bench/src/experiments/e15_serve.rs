@@ -9,7 +9,7 @@
 //!
 //! - `sharded` — 8 registry/IO shards, no snapshots;
 //! - `single-lock` — 1 shard, the serialized baseline;
-//! - `sharded+snap` — 8 shards with snapshot compaction every 16 ops,
+//! - `sharded+snap` — 8 shards with a snapshot every 16 ops,
 //!   measuring what checkpoint writes cost on the serving path.
 //!
 //! Load is **open-loop** (see [`crate::loadgen`]): per-session Poisson
@@ -334,8 +334,8 @@ fn run_grid(serve: &ServeScale, mode: &str) -> (Vec<Table>, String) {
     );
     t.note(
         "arms: sharded = 8 registry/IO shards; single-lock = 1 shard \
-         (serialized baseline); sharded+snap = 8 shards + snapshot \
-         compaction every 16 ops",
+         (serialized baseline); sharded+snap = 8 shards + a snapshot \
+         every 16 ops",
     );
 
     // Acceptance: sharding must pay off where contention lives.

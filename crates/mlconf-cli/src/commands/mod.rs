@@ -119,7 +119,7 @@ SERVE FLAGS:
   --shards N         registry/IO shards                        [default 4]
   --request-timeout S  per-connection socket timeout (seconds) [default 10]
   --queue-depth N    per-shard bound on connections before 429 shedding [default 64]
-  --snapshot-every N checkpoint + compact each session journal every N records (0 = off)
+  --snapshot-every N checkpoint each session every N journal records (0 = off)
   --max-sessions N   park idle sessions to disk over this bound (0 = unbounded)
   --tenant-rps R     per-tenant token-bucket rate for state-advancing requests (0 = off)
   --tenant-burst B   per-tenant burst allowance on top of --tenant-rps

@@ -14,25 +14,28 @@
 //!
 //! ```json
 //! {"op":"create","spec":{...}}
-//! {"op":"suggest","trial":3}        // ask() produced trial 3
-//! {"op":"suggest","done":true}      // ask() declared the session over
+//! {"op":"suggest"}                  // ask() ran (a trial or "done")
 //! {"op":"report","executed":{...}}  // tell() committed this result
 //! {"op":"report","executed":{...},"key":"t3"}  // with a dedup key
-//! {"op":"base","seq":12}            // ops [0,12) live in snapshot/archive
 //! ```
 //!
 //! Idempotent re-suggests (polling an already-pending trial) consume no
 //! RNG and are deliberately *not* journaled.
 //!
-//! A `base` record appears only as the first line of a journal that has
-//! been compacted by a snapshot (see [`crate::snapshot`]): it declares
-//! that the `seq` preceding operations were rotated into the session's
-//! `.hist` archive and are covered by the `.snap` checkpoint, so the
-//! records that follow sit at stream positions `seq`, `seq+1`, ….
+//! The journal is the session's only record stream and is never
+//! rewritten: it is only appended to, or cut back to its last newline.
+//! A checkpoint (see [`crate::snapshot`]) records the byte offset just
+//! after the last record it covers, and revival replays the records
+//! from that offset on ([`Journal::reopen`]).
+//!
+//! Framing is by bytes, not by parse success: every newline-terminated
+//! line is an acknowledged record and must decode, while the bytes
+//! after the last newline are a torn tail — a crash mid-append, never
+//! acknowledged — that revival cuts off before its first append.
 
 use crate::json::{obj, parse, Json};
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Fsyncs a directory so a just-created / just-renamed entry survives a
@@ -61,12 +64,6 @@ pub enum JournalOp {
         /// duplicate-rejection state from it.
         key: Option<String>,
     },
-    /// Compaction marker: this journal holds only records from stream
-    /// position `seq` onward (earlier ones live in the snapshot/archive).
-    Base {
-        /// Number of operations preceding this journal's first record.
-        seq: u64,
-    },
 }
 
 /// An append-only JSONL journal for one session.
@@ -74,6 +71,8 @@ pub enum JournalOp {
 pub struct Journal {
     path: PathBuf,
     file: File,
+    /// Byte offset just past the last complete record.
+    end: u64,
 }
 
 impl Journal {
@@ -90,22 +89,54 @@ impl Journal {
         if let Some(dir) = path.parent() {
             fsync_dir(dir)?;
         }
-        Ok(Journal { path, file })
+        Ok(Journal { path, file, end: 0 })
     }
 
-    /// Reopens an existing journal for appending (after replay).
+    /// Reopens an existing journal to revive its session: decodes the
+    /// records that start at byte `offset` (0, or just after a record's
+    /// newline), cuts a torn tail back to the last newline, and returns
+    /// the journal ready for appending.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors.
-    pub fn open_append(path: PathBuf) -> std::io::Result<Self> {
-        let file = OpenOptions::new().append(true).open(&path)?;
-        Ok(Journal { path, file })
+    /// Fails when `offset` is not a record boundary inside the file,
+    /// when a newline-terminated line after it does not decode (the
+    /// file is left untouched as evidence), and on filesystem errors.
+    pub fn reopen(path: PathBuf, offset: u64) -> std::io::Result<(Self, Vec<JournalOp>)> {
+        let mut file = OpenOptions::new().read(true).append(true).open(&path)?;
+        // Read from the byte before `offset`: it must be the newline
+        // that ends the last record the caller already holds.
+        file.seek(SeekFrom::Start(offset.saturating_sub(1)))?;
+        let mut buf = Vec::new();
+        file.read_to_end(&mut buf)?;
+        let records = match (offset, buf.split_first()) {
+            (0, _) => &buf[..],
+            (_, Some((b'\n', rest))) => rest,
+            _ => {
+                return Err(invalid(format!(
+                    "{}: offset {offset} is not a record boundary",
+                    path.display()
+                )))
+            }
+        };
+        let (ops, complete) = decode_lines(records, offset, &path)?;
+        let end = offset + complete as u64;
+        if complete < records.len() {
+            file.set_len(end)?;
+            file.sync_data()?;
+        }
+        Ok((Journal { path, file, end }, ops))
     }
 
     /// Where this journal lives.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// Byte offset just past the last record: where the next append
+    /// starts, and what a checkpoint taken now records.
+    pub fn end(&self) -> u64 {
+        self.end
     }
 
     /// Appends one record and forces it to the OS before returning —
@@ -115,9 +146,11 @@ impl Journal {
     ///
     /// Propagates filesystem errors; the caller must fail the request.
     pub fn append(&mut self, op: &JournalOp) -> std::io::Result<()> {
-        self.file.write_all(op.line().as_bytes())?;
-        self.file.flush()?;
-        self.file.sync_data()
+        let line = op.line();
+        self.file.write_all(line.as_bytes())?;
+        self.file.sync_data()?;
+        self.end += line.len() as u64;
+        Ok(())
     }
 }
 
@@ -139,73 +172,70 @@ impl JournalOp {
                 }
                 obj(fields)
             }
-            JournalOp::Base { seq } => obj([
-                ("op", Json::Str("base".into())),
-                ("seq", Json::Num(*seq as f64)),
-            ]),
         };
         let mut line = record.render();
         line.push('\n');
         line
     }
-}
 
-/// Reads and decodes every record of a journal file.
-///
-/// # Errors
-///
-/// Returns an error for unreadable files, non-JSON lines, or unknown
-/// `op` values; a trailing partial line (torn write from a crash
-/// mid-append) is tolerated and skipped, since its request was never
-/// acknowledged.
-pub fn read_journal(path: &Path) -> std::io::Result<Vec<JournalOp>> {
-    let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-    let reader = BufReader::new(File::open(path)?);
-    let mut ops = Vec::new();
-    let mut lines = reader.lines().peekable();
-    while let Some(line) = lines.next() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = match parse(&line) {
-            Ok(v) => v,
-            // Only the final line may be torn; anything earlier is real
-            // corruption.
-            Err(_) if lines.peek().is_none() => break,
-            Err(e) => return Err(bad(format!("{}: {e}", path.display()))),
-        };
-        let op = v
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad(format!("{}: record without op", path.display())))?;
-        ops.push(match op {
-            "create" => JournalOp::Create {
-                spec: v
-                    .get("spec")
-                    .cloned()
-                    .ok_or_else(|| bad(format!("{}: create without spec", path.display())))?,
-            },
-            "suggest" => JournalOp::Suggest,
-            "report" => JournalOp::Report {
+    /// Decodes one record line (without its newline).
+    fn decode(line: &[u8]) -> Result<Self, String> {
+        let text = std::str::from_utf8(line).map_err(|e| e.to_string())?;
+        let v = parse(text).map_err(|e| e.to_string())?;
+        match v.get("op").and_then(Json::as_str) {
+            Some("create") => Ok(JournalOp::Create {
+                spec: v.get("spec").cloned().ok_or("create without spec")?,
+            }),
+            Some("suggest") => Ok(JournalOp::Suggest),
+            Some("report") => Ok(JournalOp::Report {
                 executed: v
                     .get("executed")
                     .cloned()
-                    .ok_or_else(|| bad(format!("{}: report without executed", path.display())))?,
+                    .ok_or("report without executed")?,
                 key: v.get("key").and_then(Json::as_str).map(str::to_owned),
-            },
-            "base" => JournalOp::Base {
-                seq: v
-                    .get("seq")
-                    .and_then(Json::as_i64)
-                    .filter(|&s| s >= 0)
-                    .ok_or_else(|| bad(format!("{}: base without seq", path.display())))?
-                    as u64,
-            },
-            other => return Err(bad(format!("{}: unknown op `{other}`", path.display()))),
-        });
+            }),
+            Some(other) => Err(format!("unknown op `{other}`")),
+            None => Err("record without op".into()),
+        }
     }
-    Ok(ops)
+}
+
+fn invalid(msg: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+}
+
+/// Decodes every newline-terminated line of `bytes` (which start at
+/// file offset `offset`) and returns the records plus the length of
+/// those complete lines; the bytes after the last newline are the torn
+/// tail and are not decoded.
+fn decode_lines(
+    bytes: &[u8],
+    offset: u64,
+    path: &Path,
+) -> std::io::Result<(Vec<JournalOp>, usize)> {
+    let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let mut ops = Vec::new();
+    let mut at = offset;
+    for line in bytes[..complete].split_inclusive(|&b| b == b'\n') {
+        let op = JournalOp::decode(&line[..line.len() - 1])
+            .map_err(|e| invalid(format!("{}: record at byte {at}: {e}", path.display())))?;
+        ops.push(op);
+        at += line.len() as u64;
+    }
+    Ok((ops, complete))
+}
+
+/// Reads and decodes every complete record of a journal file, leaving
+/// the file as it is.
+///
+/// # Errors
+///
+/// Returns an error for unreadable files and for any newline-terminated
+/// line that does not decode (non-UTF-8, non-JSON, unknown `op`). The
+/// bytes after the last newline — a torn write from a crash mid-append,
+/// never acknowledged — are skipped whatever they hold.
+pub fn read_journal(path: &Path) -> std::io::Result<Vec<JournalOp>> {
+    Ok(decode_lines(&std::fs::read(path)?, 0, path)?.0)
 }
 
 #[cfg(test)]
@@ -231,12 +261,12 @@ mod tests {
                 key: Some("t1".into()),
             },
             JournalOp::Suggest,
-            JournalOp::Base { seq: 4 },
         ];
         let mut j = Journal::create(path.clone()).unwrap();
         for op in &ops {
             j.append(op).unwrap();
         }
+        assert_eq!(j.end(), std::fs::metadata(&path).unwrap().len());
         assert_eq!(read_journal(&path).unwrap(), ops);
         std::fs::remove_file(&path).ok();
     }
@@ -250,6 +280,27 @@ mod tests {
     }
 
     #[test]
+    fn tear_inside_a_multibyte_character_is_skipped() {
+        let path = tmp("torn_utf8.jsonl");
+        let mut bytes = b"{\"op\":\"suggest\"}\n{\"op\":\"report\",\"key\":\"".to_vec();
+        bytes.extend_from_slice(&"é".as_bytes()[..1]);
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(read_journal(&path).unwrap(), vec![JournalOp::Suggest]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn corrupt_final_record_is_an_error() {
+        // A bit flip turned the closing `}` (0x7d) into `|` (0x7c): the
+        // line is newline-terminated, so it was acknowledged and must
+        // not vanish as if it were a torn tail.
+        let path = tmp("flipped.jsonl");
+        std::fs::write(&path, "{\"op\":\"suggest\"}\n{\"op\":\"suggest\"|\n").unwrap();
+        assert!(read_journal(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn mid_file_corruption_is_an_error() {
         let path = tmp("corrupt.jsonl");
         std::fs::write(&path, "not json\n{\"op\":\"suggest\"}\n").unwrap();
@@ -258,21 +309,27 @@ mod tests {
     }
 
     #[test]
-    fn append_reopens_after_restart() {
+    fn reopen_replays_from_an_offset_and_cuts_the_torn_tail() {
         let path = tmp("reopen.jsonl");
-        Journal::create(path.clone())
-            .unwrap()
-            .append(&JournalOp::Suggest)
-            .unwrap();
-        // "Restart": reopen for append and add another record.
-        Journal::open_append(path.clone())
-            .unwrap()
-            .append(&JournalOp::Suggest)
-            .unwrap();
-        assert_eq!(
-            read_journal(&path).unwrap(),
-            vec![JournalOp::Suggest, JournalOp::Suggest]
-        );
+        let mut j = Journal::create(path.clone()).unwrap();
+        j.append(&JournalOp::Suggest).unwrap();
+        let mid = j.end();
+        j.append(&JournalOp::Suggest).unwrap();
+        drop(j);
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(b"{\"op\":\"rep").unwrap();
+
+        // "Restart": the records after `mid`, with the tear cut off.
+        let (mut j, ops) = Journal::reopen(path.clone(), mid).unwrap();
+        assert_eq!(ops, vec![JournalOp::Suggest]);
+        assert_eq!(j.end(), 2 * mid);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 2 * mid);
+        j.append(&JournalOp::Suggest).unwrap();
+        assert_eq!(read_journal(&path).unwrap(), vec![JournalOp::Suggest; 3]);
+
+        // An offset inside a record, or past the end, is refused.
+        assert!(Journal::reopen(path.clone(), mid + 1).is_err());
+        assert!(Journal::reopen(path.clone(), 4 * mid).is_err());
         std::fs::remove_file(&path).ok();
     }
 }

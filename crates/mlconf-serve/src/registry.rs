@@ -29,23 +29,26 @@
 //! Shard assignment is a pure function of the id, so a restart with a
 //! different shard count simply migrates each session's files to the
 //! directory the new hash assigns (including journals from the
-//! pre-sharding flat layout).
+//! pre-sharding flat layout). Sessions left in the older three-file
+//! layout (a `.hist` archive plus a journal opening with a `base`
+//! marker) are converted to one whole journal in the same pass.
 //!
 //! Recovery is two-tier. Every state transition is journaled before it
-//! is acknowledged, so a full replay always reconstructs the session
-//! bit-identically. When snapshots are enabled (`snapshot_every > 0`)
-//! the registry additionally checkpoints each session every N journaled
-//! operations (see [`crate::snapshot`]); restart then restores the
-//! checkpoint and replays only the records that follow it — O(N)
-//! instead of O(run length) — falling back to full replay whenever the
-//! checkpoint is missing, torn, or rejected.
+//! is acknowledged, and the journal is never rewritten, so a full
+//! replay always reconstructs the session bit-identically. When
+//! snapshots are enabled (`snapshot_every > 0`) the registry
+//! additionally checkpoints each session every N journaled operations
+//! (see [`crate::snapshot`]); revival then restores the checkpoint and
+//! replays only the records after the journal offset it recorded —
+//! O(N) instead of O(run length) — falling back to full replay whenever
+//! the checkpoint is missing, torn, or rejected.
 
 use crate::api::{
     config_to_json, executed_from_json, executed_to_json, outcome_to_json, pending_to_json,
     spec_from_json, spec_to_json, tagged_num, ApiError, SessionSpec,
 };
-use crate::journal::{Journal, JournalOp};
-use crate::json::{obj, Json};
+use crate::journal::{fsync_dir, Journal, JournalOp};
+use crate::json::{obj, parse, Json};
 use crate::snapshot::{self, SessionFiles, SnapshotData};
 use mlconf_tuners::drift::{DriftConfig, DriftCtl};
 use mlconf_tuners::factory::build_tuner;
@@ -54,6 +57,7 @@ use mlconf_tuners::tuner::Tuner;
 use mlconf_util::hash::fnv1a;
 use mlconf_workloads::tunespace::default_config;
 use std::collections::HashMap;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -149,7 +153,7 @@ pub struct ServedSession {
     journal: Journal,
     files: SessionFiles,
     /// Total journaled operations (create included): the session state
-    /// equals replaying stream positions `[0, seq)`.
+    /// equals replaying the journal's first `seq` records.
     seq: u64,
     /// Operations journaled since the last installed checkpoint.
     ops_since_snapshot: u64,
@@ -300,32 +304,61 @@ impl ServedSession {
         }
     }
 
-    /// Checkpoints this session immediately: archives the active
-    /// journal, installs a `.snap`, truncates the journal to a `base`
-    /// marker. Returns `Ok(false)` when the tuner does not support
-    /// checkpointing (the session keeps full-replay recovery).
+    /// Checkpoints this session immediately: installs a `.snap` holding
+    /// its state and the journal offset that state corresponds to.
+    /// Returns `Ok(false)` when the tuner does not support checkpointing
+    /// (the session keeps full-replay recovery).
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures; the active journal remains authoritative
-    /// so serving safely continues.
+    /// Propagates I/O failures; the journal is untouched and remains
+    /// authoritative, so serving safely continues.
     pub fn snapshot_now(&mut self) -> std::io::Result<bool> {
         let Some(tuner_state) = self.tuner.checkpoint() else {
             return Ok(false);
         };
         let data = SnapshotData {
             seq: self.seq,
+            offset: self.journal.end(),
             spec: self.spec.clone(),
             session: self.core.resume_state(),
             tuner: tuner_state,
             last_report: self.last_report.clone(),
         };
-        snapshot::install(&self.files, &data)?;
-        // `install` replaced the active journal file; the old handle
-        // points at the renamed-over inode, so reopen before appending.
-        self.journal = Journal::open_append(self.files.active.clone())?;
+        snapshot::install(&self.files.snap, &data)?;
         self.ops_since_snapshot = 0;
         Ok(true)
+    }
+
+    /// Re-executes journaled operations, mirroring exactly what the
+    /// serving path did: `suggest` re-asks (consuming the same RNG
+    /// draws), `report` re-tells, and keyed reports rebuild the
+    /// duplicate-rejection cache.
+    fn replay(&mut self, ops: Vec<JournalOp>) -> Result<(), ServeError> {
+        let desync = |e: &dyn std::fmt::Display| {
+            ServeError::internal(format!("journal replay desynchronized: {e}"))
+        };
+        for op in ops {
+            match op {
+                JournalOp::Create { .. } => {
+                    return Err(ServeError::internal("duplicate create record"));
+                }
+                JournalOp::Suggest => {
+                    self.core.ask(self.tuner.as_mut()).map_err(|e| desync(&e))?;
+                }
+                JournalOp::Report { executed, key } => {
+                    let executed = executed_from_json(&executed)?;
+                    let trial = self
+                        .core
+                        .tell(self.tuner.as_mut(), executed)
+                        .map_err(|e| desync(&e))?;
+                    self.last_report = key.map(|k| (k, report_response(&self.core, trial)));
+                }
+            }
+            self.seq += 1;
+            self.ops_since_snapshot += 1;
+        }
+        Ok(())
     }
 
     /// Handles `GET /sessions/{id}`: status, incumbent, full history.
@@ -424,67 +457,68 @@ fn report_response(core: &AskTellSession<'_>, trial: usize) -> Json {
     ])
 }
 
-/// Re-executes a slice of journaled operations against a live tuner +
-/// state machine, mirroring exactly what the serving path did:
-/// `suggest` re-asks (consuming the same RNG draws), `report` re-tells,
-/// and keyed reports rebuild the duplicate-rejection cache.
-fn apply_ops(
-    tuner: &mut dyn Tuner,
-    core: &mut AskTellSession<'static>,
-    last_report: &mut Option<(String, Json)>,
-    ops: &[JournalOp],
-) -> Result<(), ServeError> {
-    let desync = |e: &dyn std::fmt::Display| {
-        ServeError::internal(format!("journal replay desynchronized: {e}"))
-    };
-    for op in ops {
-        match op {
-            JournalOp::Create { .. } => {
-                return Err(ServeError::internal("duplicate create record"));
-            }
-            JournalOp::Base { .. } => {
-                return Err(ServeError::internal("base record not at journal head"));
-            }
-            JournalOp::Suggest => {
-                core.ask(tuner).map_err(|e| desync(&e))?;
-            }
-            JournalOp::Report { executed, key } => {
-                let executed = executed_from_json(executed)?;
-                let trial = core.tell(tuner, executed).map_err(|e| desync(&e))?;
-                *last_report = key
-                    .as_ref()
-                    .map(|k| (k.clone(), report_response(core, trial)));
+/// Revives a session from its journal: from `snap`'s state and the
+/// journal records after its offset, or from the whole journal when
+/// `snap` is `None`. Either way the journal comes back cut to its last
+/// complete record and ready for appending.
+fn revive(
+    id: &str,
+    files: SessionFiles,
+    snap: Option<SnapshotData>,
+    snapshot_every: u64,
+) -> Result<ServedSession, ServeError> {
+    let offset = snap.as_ref().map_or(0, |s| s.offset);
+    let (journal, ops) = Journal::reopen(files.journal.clone(), offset)
+        .map_err(|e| ServeError::internal(format!("unreadable journal: {e}")))?;
+    let mut ops = ops.into_iter();
+    let mut session = match snap {
+        Some(snap) => {
+            let (mut tuner, mut core) = machinery(&snap.spec);
+            tuner
+                .restore(&snap.tuner, &snap.session.history)
+                .map_err(|e| ServeError::internal(format!("tuner restore failed: {e}")))?;
+            core.restore_resume_state(snap.session)
+                .map_err(|e| ServeError::internal(format!("session restore failed: {e}")))?;
+            ServedSession {
+                id: id.to_owned(),
+                spec: snap.spec,
+                tuner,
+                core,
+                journal,
+                files,
+                seq: snap.seq,
+                ops_since_snapshot: 0,
+                snapshot_every,
+                last_report: snap.last_report,
             }
         }
-    }
-    Ok(())
-}
-
-/// Restores a session from a checkpoint and replays the journal tail
-/// that follows it. Any failure (tuner refuses the state, mismatched
-/// stop conditions, tail desync) is returned so the caller can fall
-/// back to full replay.
-#[allow(clippy::type_complexity)]
-fn try_snapshot_restore(
-    snap: &SnapshotData,
-    tail: &[JournalOp],
-) -> Result<
-    (
-        Box<dyn Tuner + Send>,
-        AskTellSession<'static>,
-        Option<(String, Json)>,
-    ),
-    ServeError,
-> {
-    let (mut tuner, mut core) = machinery(&snap.spec);
-    tuner
-        .restore(&snap.tuner, &snap.session.history)
-        .map_err(|e| ServeError::internal(format!("tuner restore failed: {e}")))?;
-    core.restore_resume_state(snap.session.clone())
-        .map_err(|e| ServeError::internal(format!("session restore failed: {e}")))?;
-    let mut last_report = snap.last_report.clone();
-    apply_ops(tuner.as_mut(), &mut core, &mut last_report, tail)?;
-    Ok((tuner, core, last_report))
+        None => {
+            let Some(JournalOp::Create { spec }) = ops.next() else {
+                return Err(ServeError::internal(
+                    "journal does not begin with a create record",
+                ));
+            };
+            let spec = spec_from_json(&spec)?;
+            let (tuner, core) = machinery(&spec);
+            ServedSession {
+                id: id.to_owned(),
+                spec,
+                tuner,
+                core,
+                journal,
+                files,
+                seq: 1,
+                // A full replay means the checkpoint (if any) was
+                // unusable; the next journaled operation installs a
+                // fresh one.
+                ops_since_snapshot: snapshot_every,
+                snapshot_every,
+                last_report: None,
+            }
+        }
+    };
+    session.replay(ops.collect())?;
+    Ok(session)
 }
 
 /// Tunables for opening a [`SessionRegistry`].
@@ -565,7 +599,8 @@ impl SessionRegistry {
     /// fallback), so startup cost is directory-entry scale regardless
     /// of journal lengths. Files from a previous shard count — or the
     /// pre-sharding flat layout — are migrated into the directory the
-    /// current hash assigns.
+    /// current hash assigns, and sessions in the older archive layout
+    /// are converted to one journal.
     ///
     /// # Errors
     ///
@@ -621,6 +656,11 @@ impl SessionRegistry {
                 }
                 let k = (fnv1a(id.as_bytes()) % nshards as u64) as usize;
                 migrate_session_files(&id, &dir, &shards[k].dir)?;
+                if let Err(e) = convert_legacy_layout(&shards[k].dir, &id) {
+                    // The old files stay as they are: the session parks,
+                    // its revival fails, and the next open retries.
+                    eprintln!("mlconf-serve: converting session {id}'s old layout failed: {e}");
+                }
                 shards[k]
                     .inner
                     .get_mut()
@@ -690,90 +730,26 @@ impl SessionRegistry {
     }
 
     /// Rebuilds one session. Preferred path: restore the `.snap`
-    /// checkpoint and replay only the active journal's tail — bounded
-    /// by the snapshot interval. Fallback (missing/torn/rejected
-    /// snapshot): replay the full operation stream, stitching the
-    /// `.hist` archive prefix under the active journal when the journal
-    /// has been compacted. Determinism makes either path bit-identical
-    /// to the pre-crash state.
+    /// checkpoint and replay only the journal records after its offset —
+    /// bounded by the snapshot interval. Fallback (missing, torn or
+    /// rejected checkpoint): replay the whole journal. Determinism makes
+    /// either path bit-identical to the pre-crash state.
     fn recover(
         shard_dir: &Path,
         id: &str,
         snapshot_every: u64,
     ) -> Result<ServedSession, ServeError> {
         let files = SessionFiles::new(shard_dir, id);
-        let path = files.active.clone();
-        let (base, ops) = snapshot::read_active(&path)
-            .map_err(|e| ServeError::internal(format!("unreadable journal: {e}")))?;
-        let seq = base + ops.len() as u64;
-
         if let Some(snap) = snapshot::load(&files.snap) {
-            if snap.seq >= base && snap.seq <= seq {
-                let tail = &ops[(snap.seq - base) as usize..];
-                match try_snapshot_restore(&snap, tail) {
-                    Ok((tuner, core, last_report)) => {
-                        let journal = Journal::open_append(path.to_owned()).map_err(|e| {
-                            ServeError::internal(format!("cannot reopen journal: {e}"))
-                        })?;
-                        return Ok(ServedSession {
-                            id: id.to_owned(),
-                            spec: snap.spec,
-                            tuner,
-                            core,
-                            journal,
-                            files,
-                            seq,
-                            ops_since_snapshot: seq - snap.seq,
-                            snapshot_every,
-                            last_report,
-                        });
-                    }
-                    Err(e) => eprintln!(
-                        "mlconf-serve: checkpoint restore of session {id} failed \
-                         ({e}); falling back to full replay"
-                    ),
-                }
-            } else {
-                eprintln!(
-                    "mlconf-serve: checkpoint of session {id} covers seq {} outside \
-                     journal range [{base}, {seq}]; falling back to full replay",
-                    snap.seq
-                );
+            match revive(id, files.clone(), Some(snap), snapshot_every) {
+                Ok(session) => return Ok(session),
+                Err(e) => eprintln!(
+                    "mlconf-serve: checkpoint restore of session {id} failed \
+                     ({e}); falling back to full replay"
+                ),
             }
         }
-
-        // Full replay: archived prefix (stream positions [0, base)) then
-        // the active journal.
-        let mut stream = snapshot::read_hist_prefix(&files.hist, base)
-            .map_err(|e| ServeError::internal(format!("unreadable archive: {e}")))?;
-        stream.extend(ops);
-        let mut stream = stream.into_iter();
-        let Some(JournalOp::Create { spec }) = stream.next() else {
-            return Err(ServeError::internal(
-                "journal does not begin with a create record",
-            ));
-        };
-        let spec = spec_from_json(&spec)?;
-        let (mut tuner, mut core) = machinery(&spec);
-        let mut last_report = None;
-        let rest: Vec<JournalOp> = stream.collect();
-        apply_ops(tuner.as_mut(), &mut core, &mut last_report, &rest)?;
-        let journal = Journal::open_append(path.to_owned())
-            .map_err(|e| ServeError::internal(format!("cannot reopen journal: {e}")))?;
-        Ok(ServedSession {
-            id: id.to_owned(),
-            spec,
-            tuner,
-            core,
-            journal,
-            files,
-            seq,
-            // A full replay means the checkpoint (if any) was unusable;
-            // the next journaled operation installs a fresh one.
-            ops_since_snapshot: snapshot_every,
-            snapshot_every,
-            last_report,
-        })
+        revive(id, files, None, snapshot_every)
     }
 
     /// Advances the logical recency clock and returns the new stamp.
@@ -800,7 +776,7 @@ impl SessionRegistry {
         );
         let shard = self.shard_of(&id);
         let files = SessionFiles::new(&shard.dir, &id);
-        let mut journal = Journal::create(files.active.clone())
+        let mut journal = Journal::create(files.journal.clone())
             .map_err(|e| ServeError::internal(format!("cannot create journal: {e}")))?;
         journal
             .append(&JournalOp::Create {
@@ -875,8 +851,8 @@ impl SessionRegistry {
 
     /// Handles `DELETE /sessions/{id}`: unregisters the session (live
     /// or parked) and removes every on-disk trace — journal,
-    /// checkpoint, archive, and any temp files a crashed checkpoint
-    /// left behind. Returns `false` for unknown ids.
+    /// checkpoint, and any temp file a crashed checkpoint left behind.
+    /// Returns `false` for unknown ids.
     pub fn delete(&self, id: &str) -> bool {
         let shard = self.shard_of(id);
         let mut state = lock_recover(&shard.inner);
@@ -903,11 +879,11 @@ impl SessionRegistry {
 }
 
 /// Moves one session's files from wherever a previous layout left them
-/// to the directory the current shard hash assigns. The checkpoint and
-/// archive move first and the journal last: the journal's location is
-/// the commit point discovery keys on, so a crash mid-migration simply
-/// re-runs it (at worst orphaning a stale checkpoint, which recovery
-/// falls past via full replay).
+/// to the directory the current shard hash assigns. The checkpoint (and
+/// an old layout's archive) move first and the journal last: the
+/// journal's location is the commit point discovery keys on, so a crash
+/// mid-migration simply re-runs it (at worst orphaning a stale
+/// checkpoint, which recovery falls past via full replay).
 fn migrate_session_files(id: &str, from: &Path, to: &Path) -> std::io::Result<()> {
     if from == to {
         return Ok(());
@@ -915,24 +891,85 @@ fn migrate_session_files(id: &str, from: &Path, to: &Path) -> std::io::Result<()
     let src = SessionFiles::new(from, id);
     let dst = SessionFiles::new(to, id);
     for (s, d) in [
-        (&src.snap, &dst.snap),
-        (&src.hist, &dst.hist),
-        (&src.active, &dst.active),
+        (src.snap, dst.snap),
+        (legacy_archive(from, id), legacy_archive(to, id)),
+        (src.journal, dst.journal),
     ] {
         if s.exists() {
             std::fs::rename(s, d)?;
         }
     }
-    crate::journal::fsync_dir(to)?;
-    crate::journal::fsync_dir(from)?;
+    fsync_dir(to)?;
+    fsync_dir(from)?;
     Ok(())
+}
+
+/// The `.hist` archive of the older layout, in which a checkpoint also
+/// rewrote the journal to a `{"op":"base","seq":N}` marker and moved the
+/// N records before it into the archive.
+fn legacy_archive(dir: &Path, id: &str) -> PathBuf {
+    dir.join(format!("{id}.hist"))
+}
+
+/// Converts a session left in the older layout into one whole journal:
+/// the archive's first N records, then the journal's records after its
+/// `base` marker, installed by temp file, fsync, rename and directory
+/// fsync before the archive is removed. A journal without the marker is
+/// already whole — its archive is a stray from a crash after that
+/// rename, or mid-compaction — so the archive is only removed. The
+/// older `.snap` records no offset, so revival ignores it and replays
+/// the journal once.
+fn convert_legacy_layout(dir: &Path, id: &str) -> std::io::Result<()> {
+    let archive = legacy_archive(dir, id);
+    if !archive.exists() {
+        return Ok(());
+    }
+    let journal = SessionFiles::new(dir, id).journal;
+    let records = std::fs::read(&journal)?;
+    let head_len = records
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(records.len(), |i| i + 1);
+    let head = std::str::from_utf8(&records[..head_len])
+        .ok()
+        .and_then(|line| parse(line.trim_end()).ok())
+        .filter(|v| v.get("op").and_then(Json::as_str) == Some("base"));
+    if let Some(head) = head {
+        let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+        let base = head
+            .get("seq")
+            .and_then(Json::as_i64)
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or_else(|| bad("base marker without a valid seq".into()))?;
+        // A crash mid-compaction can leave the archive holding more
+        // than `base` records; the journal holds those too.
+        let archived = std::fs::read(&archive)?;
+        let prefix: usize = archived
+            .split_inclusive(|&b| b == b'\n')
+            .take(base)
+            .map(<[u8]>::len)
+            .sum();
+        let complete = archived[..prefix].iter().filter(|&&b| b == b'\n').count();
+        if complete < base {
+            return Err(bad(format!(
+                "archive holds {complete} records, need {base}"
+            )));
+        }
+        let tmp = journal.with_extension("jsonl.tmp");
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(&archived[..prefix])?;
+        f.write_all(&records[head_len..])?;
+        f.sync_data()?;
+        std::fs::rename(&tmp, &journal)?;
+        fsync_dir(dir)?;
+    }
+    std::fs::remove_file(&archive)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::journal::read_journal;
-    use crate::json::parse;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -948,30 +985,45 @@ mod tests {
         .unwrap()
     }
 
-    /// Drives a session to completion through the registry surface,
-    /// evaluating suggestions with the simulator in the client role.
-    fn drive(registry: &SessionRegistry, id: &str, seed: u64) {
-        use mlconf_workloads::evaluator::ConfigEvaluator;
+    fn evaluator(seed: u64) -> mlconf_workloads::evaluator::ConfigEvaluator {
         use mlconf_workloads::objective::Objective;
         use mlconf_workloads::workload::mlp_mnist;
-        let ev = ConfigEvaluator::new(mlp_mnist(), Objective::TimeToAccuracy, 8, seed);
+        mlconf_workloads::evaluator::ConfigEvaluator::new(
+            mlp_mnist(),
+            Objective::TimeToAccuracy,
+            8,
+            seed,
+        )
+    }
+
+    /// Runs one suggest → evaluate → report cycle through the registry
+    /// surface, with the simulator in the client role. Returns `false`
+    /// once the session is done.
+    fn step(
+        registry: &SessionRegistry,
+        id: &str,
+        ev: &mlconf_workloads::evaluator::ConfigEvaluator,
+    ) -> bool {
         let handle = registry.get(id).unwrap();
-        loop {
-            let suggestion = handle.lock().unwrap().suggest().unwrap();
-            if suggestion.get("done").and_then(Json::as_bool) == Some(true) {
-                break;
-            }
-            let cfg = crate::api::config_from_json(
-                &ev.space().clone(),
-                suggestion.get("config").unwrap(),
-            )
-            .unwrap();
-            let rep = suggestion.get("rep").unwrap().as_i64().unwrap() as u64;
-            let fidelity = suggestion.get("fidelity").unwrap().as_f64().unwrap();
-            let outcome = ev.evaluate_with_fidelity(&cfg, rep, fidelity);
-            let body = obj([("outcome", outcome_to_json(&outcome))]);
-            handle.lock().unwrap().report(&body).unwrap();
+        let suggestion = handle.lock().unwrap().suggest().unwrap();
+        if suggestion.get("done").and_then(Json::as_bool) == Some(true) {
+            return false;
         }
+        let cfg =
+            crate::api::config_from_json(&ev.space().clone(), suggestion.get("config").unwrap())
+                .unwrap();
+        let rep = suggestion.get("rep").unwrap().as_i64().unwrap() as u64;
+        let fidelity = suggestion.get("fidelity").unwrap().as_f64().unwrap();
+        let outcome = ev.evaluate_with_fidelity(&cfg, rep, fidelity);
+        let body = obj([("outcome", outcome_to_json(&outcome))]);
+        handle.lock().unwrap().report(&body).unwrap();
+        true
+    }
+
+    /// Drives a session to completion through the registry surface.
+    fn drive(registry: &SessionRegistry, id: &str, seed: u64) {
+        let ev = evaluator(seed);
+        while step(registry, id, &ev) {}
     }
 
     #[test]
@@ -1006,7 +1058,7 @@ mod tests {
         let second = handle.lock().unwrap().suggest().unwrap();
         assert_eq!(first, second);
         // Only one suggest was journaled.
-        let ops = read_journal(&registry.files_for(id).active).unwrap();
+        let ops = read_journal(&registry.files_for(id).journal).unwrap();
         let suggests = ops.iter().filter(|o| **o == JournalOp::Suggest).count();
         assert_eq!(suggests, 1);
         std::fs::remove_dir_all(&dir).ok();
@@ -1099,7 +1151,7 @@ mod tests {
             1,
             "duplicate must not be told to the tuner"
         );
-        let ops = read_journal(&registry.files_for(&id).active).unwrap();
+        let ops = read_journal(&registry.files_for(&id).journal).unwrap();
         let reports = ops
             .iter()
             .filter(|o| matches!(o, JournalOp::Report { .. }))
@@ -1147,10 +1199,9 @@ mod tests {
         drive(&registry, &id, 5);
         let files = registry.files_for(&id);
         assert!(files.snap.exists());
-        assert!(files.hist.exists());
         // Plant temp files as a crashed checkpoint would leave them.
         std::fs::write(files.snap.with_extension("snap.tmp"), b"partial").unwrap();
-        std::fs::write(files.active.with_extension("jsonl.tmp"), b"partial").unwrap();
+        std::fs::write(files.journal.with_extension("jsonl.tmp"), b"partial").unwrap();
         assert!(registry.delete(&id));
         // The whole journal tree is clean of this session.
         let leftovers: Vec<String> = walk_files(&dir)
@@ -1194,8 +1245,142 @@ mod tests {
         // evidence, migrated into its shard dir); new sessions skip it.
         let created = registry.create(&create_body("random", 2, 1)).unwrap();
         assert_eq!(created.get("id").unwrap().as_str(), Some("s2"));
-        assert!(registry.files_for("s1").active.exists());
+        assert!(registry.files_for("s1").journal.exists());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn revival_cuts_a_torn_tail_before_appending() {
+        let dir = tmpdir("torn_tail");
+        let config = RegistryConfig {
+            snapshot_every: 0,
+            shards: 1,
+            max_sessions: 0,
+        };
+        let outcome = mlconf_workloads::objective::TrialOutcome::failed("x", 1.0);
+        let body = obj([("outcome", outcome_to_json(&outcome))]);
+        let trial = |registry: &SessionRegistry, id: &str| {
+            let handle = registry.get(id).expect("session revives");
+            handle.lock().unwrap().suggest().unwrap();
+            handle.lock().unwrap().report(&body).unwrap();
+        };
+        let id = {
+            let registry = SessionRegistry::open(&dir, config.clone()).unwrap();
+            let created = registry.create(&create_body("random", 5, 3)).unwrap();
+            let id = created.get("id").unwrap().as_str().unwrap().to_owned();
+            trial(&registry, &id);
+            trial(&registry, &id);
+            id
+        };
+        // A crash mid-append left part of an unacknowledged record.
+        let journal = SessionFiles::new(&dir.join("shard-0"), &id).journal;
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(&journal)
+            .unwrap()
+            .write_all(b"{\"op\":\"rep")
+            .unwrap();
+        {
+            let registry = SessionRegistry::open(&dir, config.clone()).unwrap();
+            trial(&registry, &id);
+        }
+        // The third trial's records follow the second's, not the tear,
+        // so the next revival reads all three.
+        let registry = SessionRegistry::open(&dir, config).unwrap();
+        let handle = registry.get(&id).expect("journal stays readable");
+        assert_eq!(handle.lock().unwrap().core().history().len(), 3);
+        assert_eq!(read_journal(&journal).unwrap().len(), 7);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checkpoint re-framed as the older layout wrote it: no `offset`.
+    fn without_offset(snap: &[u8]) -> Vec<u8> {
+        let frame = parse(std::str::from_utf8(snap).unwrap().trim_end()).unwrap();
+        let Some(Json::Obj(mut fields)) = frame.get("data").cloned() else {
+            panic!("checkpoint frame without data")
+        };
+        fields.retain(|(k, _)| k != "offset");
+        let data = Json::Obj(fields).render();
+        let crc = fnv1a(data.as_bytes());
+        format!("{{\"crc\":\"{crc:016x}\",\"data\":{data}}}\n").into_bytes()
+    }
+
+    #[test]
+    fn legacy_layout_converts_to_one_journal_and_revives_bit_identically() {
+        // Reference: a BO session with snapshots off, checkpointed by
+        // hand once after record K, then left with a trial pending.
+        const K: usize = 5;
+        let src = tmpdir("legacy_src");
+        let registry = SessionRegistry::open(&src, RegistryConfig::new(0)).unwrap();
+        let created = registry.create(&create_body("bo", 6, 13)).unwrap();
+        let id = created.get("id").unwrap().as_str().unwrap().to_owned();
+        let ev = evaluator(13);
+        let files = registry.files_for(&id);
+        while read_journal(&files.journal).unwrap().len() < K {
+            assert!(step(&registry, &id, &ev));
+        }
+        let handle = registry.get(&id).unwrap();
+        assert!(handle.lock().unwrap().snapshot_now().unwrap());
+        let old_snap = without_offset(&std::fs::read(&files.snap).unwrap());
+        assert!(step(&registry, &id, &ev));
+        let pending = handle.lock().unwrap().suggest().unwrap().render();
+        let status = handle.lock().unwrap().status_json().render();
+        let whole = std::fs::read(&files.journal).unwrap();
+        drop((handle, registry));
+
+        let lines: Vec<&[u8]> = whole.split_inclusive(|&b| b == b'\n').collect();
+        let base = format!("{{\"op\":\"base\",\"seq\":{K}}}\n").into_bytes();
+        let compacted = [base.as_slice(), &lines[K..].concat()].concat();
+        // (label, flat root instead of a shard dir, archived records,
+        // journal): the older layout after a finished compaction, after
+        // a crash mid-compaction (archive topped up past the marker),
+        // and after a crash between the conversion's rename and the
+        // archive's removal (journal already whole).
+        let cases = [
+            ("compacted", false, K, compacted.clone()),
+            ("mid_compaction", false, K + 2, compacted.clone()),
+            ("renamed", false, K, whole.clone()),
+            ("flat", true, K, compacted),
+        ];
+        for (label, flat, archived, journal) in cases {
+            let dir = tmpdir(&format!("legacy_{label}"));
+            let old_dir = if flat {
+                dir.clone()
+            } else {
+                dir.join("shard-0")
+            };
+            std::fs::create_dir_all(&old_dir).unwrap();
+            std::fs::write(old_dir.join(format!("{id}.jsonl")), &journal).unwrap();
+            std::fs::write(
+                old_dir.join(format!("{id}.hist")),
+                lines[..archived].concat(),
+            )
+            .unwrap();
+            std::fs::write(old_dir.join(format!("{id}.snap")), &old_snap).unwrap();
+
+            let config = RegistryConfig {
+                snapshot_every: 0,
+                shards: if flat { 2 } else { 1 },
+                max_sessions: 0,
+            };
+            let registry = SessionRegistry::open(&dir, config).unwrap();
+            let stray: Vec<String> = walk_files(&dir)
+                .into_iter()
+                .filter(|name| name.ends_with(".hist") || name.ends_with(".tmp"))
+                .collect();
+            assert!(stray.is_empty(), "{label}: left behind {stray:?}");
+            assert_eq!(
+                std::fs::read(registry.files_for(&id).journal).unwrap(),
+                whole,
+                "{label}: converted journal differs from the uninterrupted one"
+            );
+            let handle = registry.get(&id).expect("converted session revives");
+            assert_eq!(handle.lock().unwrap().suggest().unwrap().render(), pending);
+            assert_eq!(handle.lock().unwrap().status_json().render(), status);
+            drop((handle, registry));
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        std::fs::remove_dir_all(&src).ok();
     }
 
     #[test]
@@ -1267,8 +1452,8 @@ mod tests {
             drive(&registry, &id, 17);
             id
         };
-        // Reopen with a different shard count: the journal, checkpoint,
-        // and archive all follow the new hash assignment.
+        // Reopen with a different shard count: the journal and the
+        // checkpoint follow the new hash assignment.
         let config = RegistryConfig {
             snapshot_every: 1,
             shards: 5,
@@ -1276,9 +1461,8 @@ mod tests {
         };
         let registry = SessionRegistry::open(&dir, config).unwrap();
         let files = registry.files_for(&id);
-        assert!(files.active.exists(), "journal migrated");
+        assert!(files.journal.exists(), "journal migrated");
         assert!(files.snap.exists(), "checkpoint migrated");
-        assert!(files.hist.exists(), "archive migrated");
         let handle = registry.get(&id).expect("session revives after migration");
         let status = handle.lock().unwrap().status_json();
         assert_eq!(status.get("finished").unwrap().as_bool(), Some(true));

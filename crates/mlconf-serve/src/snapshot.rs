@@ -1,92 +1,87 @@
-//! Journal snapshots and compaction: O(records-since-snapshot) restarts.
+//! Session checkpoints: restarts that replay only the journal's tail.
 //!
-//! PR 4's recovery replays every journal record, so a restart costs
-//! O(run length). This module periodically checkpoints each session's
-//! full state — the [`AskTellSession`](mlconf_tuners::session::AskTellSession)
-//! resume state plus the tuner's [`TunerState`] — through the service's
-//! bit-exact JSON codec, then truncates the active journal to the
-//! records that follow.
+//! A full replay costs O(run length). This module periodically
+//! checkpoints each session's full state — the
+//! [`AskTellSession`](mlconf_tuners::session::AskTellSession) resume
+//! state plus the tuner's [`TunerState`] — through the service's
+//! bit-exact JSON codec, together with the journal position that state
+//! corresponds to.
 //!
 //! # On-disk layout (per session `<id>`)
 //!
-//! - `<id>.jsonl` — the **active** journal. Starts with either the
-//!   `create` record (never snapshotted) or a `{"op":"base","seq":N}`
-//!   marker meaning: operations `[0, N)` were compacted; the records
-//!   here sit at stream positions `N`, `N+1`, ….
-//! - `<id>.snap` — the latest checkpoint, one checksummed JSON line,
-//!   always installed by atomic rename.
-//! - `<id>.hist` — the archive: every operation ever rotated out of the
-//!   active journal, in stream order. Only read when the snapshot is
-//!   torn, corrupt, or rejected — it makes full-journal replay possible
-//!   *after* compaction, which is what lets a bad checkpoint degrade to
-//!   PR 4 recovery instead of data loss.
+//! - `<id>.jsonl` — the journal ([`crate::journal`]): every record since
+//!   `create`, only ever appended to or cut back to its last newline.
+//! - `<id>.snap` — the latest checkpoint, one checksummed JSON line
+//!   holding the state after the journal's first `seq` records and
+//!   `offset`, the journal's byte length just after record `seq`.
 //!
-//! # Crash-ordered installation
+//! # Installation
 //!
-//! [`install`] performs, in order: (1) top up the archive with the
-//! active records it is missing and fsync it, (2) write the new
-//! checkpoint to a temp file, fsync, rename over `<id>.snap`, fsync the
-//! directory, (3) write a fresh one-line active journal (`base` marker)
-//! to a temp file, fsync, rename over `<id>.jsonl`, fsync the directory.
-//! A crash between any two steps leaves a recoverable combination: the
-//! archive append is idempotent (records are appended by stream
-//! position, never duplicated), and until step (3) lands the old active
-//! journal still covers everything past the *previous* checkpoint.
+//! [`install`] writes `<id>.snap.tmp`, fsyncs it, renames it over
+//! `<id>.snap` and fsyncs the directory: two fsyncs and one rename, and
+//! it reads no file. The journal is never touched, so a crash at any
+//! point leaves a journal holding every acknowledged record (plus at
+//! most a torn tail), next to the previous checkpoint or none, and at
+//! most a stray `.snap.tmp` that nothing reads.
 //!
 //! # Restore contract
 //!
-//! A checkpoint restores bit-identically: the session resume state
-//! carries the driver RNG position and float accumulators through the
-//! tagged shortest-round-trip codec, and the tuner state round-trips
-//! through [`Tuner::checkpoint`](mlconf_tuners::tuner::Tuner::checkpoint)
-//! and [`Tuner::restore`](mlconf_tuners::tuner::Tuner::restore). Golden
+//! Revival loads the `.snap`, checks that its `offset` is a record
+//! boundary inside the journal, and replays only the records after it;
+//! a missing, torn, corrupt or rejected checkpoint falls back to
+//! replaying the journal from byte 0. A checkpoint restores
+//! bit-identically: the session resume state carries the driver RNG
+//! position and float accumulators through the tagged
+//! shortest-round-trip codec, and the tuner state round-trips through
+//! [`Tuner::checkpoint`](mlconf_tuners::tuner::Tuner::checkpoint) and
+//! [`Tuner::restore`](mlconf_tuners::tuner::Tuner::restore). Golden
 //! tests assert snapshot recovery ≡ full-journal replay at seeds
-//! {11, 22, 33} including faults and censoring. Tuners without checkpoint support
-//! simply never get a `.snap` and keep full-replay recovery.
+//! {11, 22, 33} including faults and censoring. Tuners without
+//! checkpoint support simply never get a `.snap` and keep full-replay
+//! recovery.
 
 use crate::api::{
     config_from_json, config_to_json, num_from_json, outcome_from_json, outcome_to_json,
     pending_to_json, spec_from_json, spec_to_json, tagged_num, ApiError, SessionSpec,
 };
-use crate::journal::{fsync_dir, read_journal, JournalOp};
+use crate::journal::fsync_dir;
 use crate::json::{obj, parse, Json};
 use mlconf_space::space::ConfigSpace;
 use mlconf_tuners::session::{PendingTrial, SessionResumeState, StopReason};
 use mlconf_tuners::tuner::{StateValue, TrialHistory, TunerState};
 use mlconf_util::hash::fnv1a;
-use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::fs::File;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// The three on-disk files backing one session.
+/// The on-disk files backing one session.
 #[derive(Debug, Clone)]
 pub struct SessionFiles {
-    /// Active journal (`<id>.jsonl`).
-    pub active: PathBuf,
+    /// The journal (`<id>.jsonl`).
+    pub journal: PathBuf,
     /// Latest checkpoint (`<id>.snap`).
     pub snap: PathBuf,
-    /// Rotated-records archive (`<id>.hist`).
-    pub hist: PathBuf,
 }
 
 impl SessionFiles {
     /// File paths for session `id` under `journal_dir`.
     pub fn new(journal_dir: &Path, id: &str) -> Self {
         SessionFiles {
-            active: journal_dir.join(format!("{id}.jsonl")),
+            journal: journal_dir.join(format!("{id}.jsonl")),
             snap: journal_dir.join(format!("{id}.snap")),
-            hist: journal_dir.join(format!("{id}.hist")),
         }
     }
 
-    /// Removes all three files, plus any temp files a crashed
-    /// checkpoint left behind (session deletion). Best-effort.
+    /// Removes the session's files, plus any temp file a crashed
+    /// checkpoint or legacy-layout conversion left behind (session
+    /// deletion). Best-effort. The journal goes last: discovery keys on
+    /// it, so a crash part-way leaves the session listed, never a
+    /// checkpoint without its journal.
     pub fn remove_all(&self) {
-        std::fs::remove_file(&self.active).ok();
-        std::fs::remove_file(&self.snap).ok();
-        std::fs::remove_file(&self.hist).ok();
         std::fs::remove_file(self.snap.with_extension("snap.tmp")).ok();
-        std::fs::remove_file(self.active.with_extension("jsonl.tmp")).ok();
+        std::fs::remove_file(&self.snap).ok();
+        std::fs::remove_file(self.journal.with_extension("jsonl.tmp")).ok();
+        std::fs::remove_file(&self.journal).ok();
     }
 }
 
@@ -94,8 +89,12 @@ impl SessionFiles {
 #[derive(Debug, Clone)]
 pub struct SnapshotData {
     /// Number of journal operations (create included) this checkpoint
-    /// covers: the state equals replaying stream positions `[0, seq)`.
+    /// covers: the state equals replaying the journal's first `seq`
+    /// records.
     pub seq: u64,
+    /// The journal's byte length just after record `seq`: revival
+    /// replays the records from here on.
+    pub offset: u64,
     /// The creating spec.
     pub spec: SessionSpec,
     /// The state machine's non-derivable fields.
@@ -500,6 +499,7 @@ pub fn snapshot_to_json(s: &SnapshotData) -> Json {
     });
     obj([
         ("seq", Json::Num(s.seq as f64)),
+        ("offset", Json::Num(s.offset as f64)),
         ("spec", spec_to_json(&s.spec)),
         ("session", session_to_json(&s.session)),
         ("tuner", tuner_state_to_json(&s.tuner)),
@@ -526,11 +526,8 @@ pub fn snapshot_from_json(v: &Json) -> Result<SnapshotData, ApiError> {
         )),
     };
     Ok(SnapshotData {
-        seq: field(v, "seq")?
-            .as_i64()
-            .filter(|&s| s >= 0)
-            .ok_or_else(|| ApiError("`seq` must be a non-negative integer".into()))?
-            as u64,
+        seq: u64_field(v, "seq")?,
+        offset: u64_field(v, "offset")?,
         session: session_from_json(&space, field(v, "session")?)?,
         tuner: tuner_state_from_json(&space, field(v, "tuner")?)?,
         spec,
@@ -553,177 +550,31 @@ pub fn load(path: &Path) -> Option<SnapshotData> {
     snapshot_from_json(data).ok()
 }
 
-/// Number of complete (newline-terminated) lines in `path`, and the
-/// byte offset where the last complete line ends. Missing file = 0.
-fn complete_lines(path: &Path) -> std::io::Result<(u64, u64)> {
-    let mut buf = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut buf)?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((0, 0)),
-        Err(e) => return Err(e),
-    }
-    let mut lines = 0u64;
-    let mut end = 0u64;
-    for (i, &b) in buf.iter().enumerate() {
-        if b == b'\n' {
-            lines += 1;
-            end = (i + 1) as u64;
-        }
-    }
-    Ok((lines, end))
-}
-
-/// Installs a checkpoint: archives the active journal's records, writes
-/// the snapshot atomically, and truncates the active journal to a
-/// `base` marker. The active journal's own `base` marker (or its
-/// absence, meaning 0) tells `install` which stream positions its
-/// records occupy; `data.seq` must equal that base plus the number of
-/// records present, i.e. the checkpoint covers exactly the acknowledged
-/// stream.
+/// Installs a checkpoint atomically: writes it to `<snap>.tmp`,
+/// fsyncs, renames it over `snap` and fsyncs the directory.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors; the caller logs and keeps serving (a failed
-/// snapshot only costs restart speed, never correctness — the active
-/// journal is untouched until the final rename).
-pub fn install(files: &SessionFiles, data: &SnapshotData) -> std::io::Result<()> {
-    let dir = files
-        .active
+/// checkpoint only costs restart speed, never correctness — the
+/// previous `.snap`, if any, stays in place until the rename).
+pub fn install(snap: &Path, data: &SnapshotData) -> std::io::Result<()> {
+    let dir = snap
         .parent()
-        .ok_or_else(|| std::io::Error::other("journal path has no parent"))?;
-
-    // (1) Top up the archive. The archive must end holding exactly the
-    // stream's records [0, seq); a previous crashed install may have
-    // left it already holding some (or all, or a torn tail) of them.
-    let (hist_lines, hist_end) = complete_lines(&files.hist)?;
-    let active_raw = std::fs::read_to_string(&files.active)?;
-    let mut active_records: Vec<&str> = active_raw.lines().collect();
-    let active_base = active_records
-        .first()
-        .and_then(|l| parse(l).ok())
-        .filter(|v| v.get("op").and_then(Json::as_str) == Some("base"))
-        .and_then(|v| v.get("seq").and_then(Json::as_i64))
-        .filter(|&s| s >= 0)
-        .map(|s| s as u64);
-    if active_base.is_some() {
-        active_records.remove(0);
-    }
-    let active_base = active_base.unwrap_or(0);
-    if active_base + active_records.len() as u64 != data.seq {
-        return Err(std::io::Error::other(format!(
-            "checkpoint seq {} disagrees with journal (base {active_base} + {} records)",
-            data.seq,
-            active_records.len()
-        )));
-    }
-    // Records the archive is missing: stream positions [hist_lines, seq).
-    let have = hist_lines.saturating_sub(active_base); // active records already archived
-    let missing: Vec<&str> = if hist_lines < active_base {
-        return Err(std::io::Error::other(format!(
-            "archive holds {hist_lines} records but active journal starts at {active_base}"
-        )));
-    } else {
-        active_records.iter().skip(have as usize).copied().collect()
-    };
-    {
-        let mut hist = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .read(true)
-            .write(true)
-            .open(&files.hist)?;
-        // Drop a torn tail from a crashed earlier append.
-        hist.set_len(hist_end)?;
-        use std::io::Seek as _;
-        hist.seek(std::io::SeekFrom::End(0))?;
-        let mut out = String::new();
-        for line in missing {
-            out.push_str(line);
-            out.push('\n');
-        }
-        hist.write_all(out.as_bytes())?;
-        hist.flush()?;
-        hist.sync_data()?;
-    }
-    fsync_dir(dir)?;
-
-    // (2) Atomically install the checkpoint.
-    let rendered = snapshot_to_json(data).render();
-    let frame = obj([
-        (
-            "crc",
-            Json::Str(format!("{:016x}", fnv1a(rendered.as_bytes()))),
-        ),
-        ("data", snapshot_to_json(data)),
-    ]);
-    let snap_tmp = files.snap.with_extension("snap.tmp");
-    {
-        let mut f = File::create(&snap_tmp)?;
-        let mut line = frame.render();
-        line.push('\n');
-        f.write_all(line.as_bytes())?;
-        f.flush()?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&snap_tmp, &files.snap)?;
-    fsync_dir(dir)?;
-
-    // (3) Truncate the active journal to a base marker, atomically.
-    let active_tmp = files.active.with_extension("jsonl.tmp");
-    {
-        let mut f = File::create(&active_tmp)?;
-        let base = JournalOp::Base { seq: data.seq };
-        f.write_all(base.line().as_bytes())?;
-        f.flush()?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&active_tmp, &files.active)?;
+        .ok_or_else(|| std::io::Error::other("snapshot path has no parent"))?;
+    // The frame `{"crc":…,"data":…}` as `obj` would render it, with the
+    // data rendered once for both the checksum and the file.
+    let data = snapshot_to_json(data).render();
+    let line = format!(
+        "{{\"crc\":\"{:016x}\",\"data\":{data}}}\n",
+        fnv1a(data.as_bytes())
+    );
+    let tmp = snap.with_extension("snap.tmp");
+    let mut f = File::create(&tmp)?;
+    f.write_all(line.as_bytes())?;
+    f.sync_data()?;
+    std::fs::rename(&tmp, snap)?;
     fsync_dir(dir)
-}
-
-/// Reads the active journal, returning `(base, records)` where `base`
-/// is the stream position of the first record.
-///
-/// # Errors
-///
-/// Propagates read/parse errors (mid-file corruption stays an error:
-/// the registry skips the session, preserving the evidence).
-pub fn read_active(path: &Path) -> std::io::Result<(u64, Vec<JournalOp>)> {
-    let mut ops = read_journal(path)?;
-    let base = match ops.first() {
-        Some(JournalOp::Base { seq }) => Some(*seq),
-        _ => None,
-    };
-    match base {
-        Some(b) => {
-            ops.remove(0);
-            Ok((b, ops))
-        }
-        None => Ok((0, ops)),
-    }
-}
-
-/// Reads the first `count` archived records (the prefix a full replay
-/// needs under an active journal based at `count`).
-///
-/// # Errors
-///
-/// Fails when the archive holds fewer than `count` complete records —
-/// recovery for this session is then impossible and the caller skips it.
-pub fn read_hist_prefix(path: &Path, count: u64) -> std::io::Result<Vec<JournalOp>> {
-    if count == 0 {
-        return Ok(Vec::new());
-    }
-    let ops = read_journal(path)?;
-    if (ops.len() as u64) < count {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("archive holds {} records, need {count}", ops.len()),
-        ));
-    }
-    Ok(ops.into_iter().take(count as usize).collect())
 }
 
 #[cfg(test)]
@@ -740,6 +591,46 @@ mod tests {
         assert!(load(&path).is_none(), "torn file");
         std::fs::write(&path, "{\"crc\":\"0000000000000000\",\"data\":{}}").unwrap();
         assert!(load(&path).is_none(), "checksum mismatch");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn install_writes_the_framed_checkpoint_and_load_reads_it_back() {
+        let dir = std::env::temp_dir().join(format!("mlconf_snap_install_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = parse(r#"{"tuner":"random","budget":3,"seed":1}"#).unwrap();
+        let data = SnapshotData {
+            seq: 3,
+            offset: 120,
+            spec: spec_from_json(&spec).unwrap(),
+            session: mlconf_tuners::session::AskTellSession::new(3, 1).resume_state(),
+            tuner: TunerState::new(),
+            last_report: Some(("t0".into(), obj([("trial", Json::Num(0.0))]))),
+        };
+        let path = dir.join("s1.snap");
+        install(&path, &data).unwrap();
+        assert!(!dir.join("s1.snap.tmp").exists());
+
+        // The bytes are the frame rendered as one JSON object.
+        let json = snapshot_to_json(&data);
+        let crc = format!("{:016x}", fnv1a(json.render().as_bytes()));
+        let frame = obj([("crc", Json::Str(crc)), ("data", json.clone())]);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            frame.render() + "\n"
+        );
+        let loaded = load(&path).expect("installed checkpoint loads");
+        assert_eq!(snapshot_to_json(&loaded), json);
+
+        // A checkpoint from before offsets were recorded is ignored.
+        let Json::Obj(mut fields) = json else {
+            unreachable!("snapshot_to_json returns an object")
+        };
+        fields.retain(|(k, _)| k != "offset");
+        let old = Json::Obj(fields).render();
+        let crc = format!("{:016x}", fnv1a(old.as_bytes()));
+        std::fs::write(&path, format!("{{\"crc\":\"{crc}\",\"data\":{old}}}\n")).unwrap();
+        assert!(load(&path).is_none(), "a checkpoint without an offset");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

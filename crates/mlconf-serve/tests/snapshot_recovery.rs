@@ -1,12 +1,15 @@
-//! Golden guarantees for journal snapshots + compaction: recovery
-//! through a checkpoint is **bit-identical** to full-journal replay —
-//! same history, same RNG position, same next suggestion — at seeds
+//! Golden guarantees for journal snapshots: recovery through a
+//! checkpoint is **bit-identical** to full-journal replay — same
+//! history, same RNG position, same next suggestion — at seeds
 //! {11, 22, 33}, under fault injection and censoring, across repeated
 //! crash-restarts. And the point of the feature: restart replays at
-//! most `snapshot_every` journal records, not the whole run.
+//! most `snapshot_every` journal records past the checkpoint's offset,
+//! not the whole run.
 
 use mlconf_serve::api::{config_from_json, executed_to_json};
+use mlconf_serve::journal::read_journal;
 use mlconf_serve::json::Json;
+use mlconf_serve::snapshot;
 use mlconf_serve::{RegistryConfig, SessionRegistry};
 use mlconf_sim::faultplan::FaultPlan;
 use mlconf_sim::scenario::ScenarioScript;
@@ -93,9 +96,15 @@ fn session_file(dir: &Path, id: &str, ext: &str) -> PathBuf {
     dir.join("shard-0").join(format!("{id}.{ext}"))
 }
 
-fn active_journal_records(dir: &Path, id: &str) -> usize {
-    let raw = std::fs::read_to_string(session_file(dir, id, "jsonl")).unwrap();
-    raw.lines().filter(|l| !l.trim().is_empty()).count()
+/// Journal records past the `.snap`'s offset — what a restart replays
+/// (every record while there is no checkpoint).
+fn records_past_checkpoint(dir: &Path, id: &str) -> usize {
+    let journal = std::fs::read(session_file(dir, id, "jsonl")).unwrap();
+    let offset = snapshot::load(&session_file(dir, id, "snap")).map_or(0, |s| s.offset);
+    journal[offset as usize..]
+        .iter()
+        .filter(|&&b| b == b'\n')
+        .count()
 }
 
 /// Drives a full session with crash-restarts every `restart_every`
@@ -118,11 +127,11 @@ fn run_with_restarts(
         }
         steps += 1;
         if snapshot_every > 0 {
-            // The compaction invariant: the active journal never holds
-            // more than snapshot_every records (+ its base marker).
+            // The replay bound: the journal never holds more than
+            // snapshot_every records past the checkpoint's offset.
             assert!(
-                active_journal_records(dir, &id) as u64 <= snapshot_every + 1,
-                "active journal grew past the snapshot interval"
+                records_past_checkpoint(dir, &id) as u64 <= snapshot_every,
+                "journal grew past the snapshot interval beyond its checkpoint"
             );
         }
         if steps.is_multiple_of(restart_every) {
@@ -383,7 +392,7 @@ fn corrupt_snapshot_falls_back_to_full_replay_bit_identically() {
     drop(registry);
 
     // Flip bytes in the checkpoint: the checksum rejects it and recovery
-    // must stitch `.hist` + the active journal back together instead.
+    // must replay the whole journal instead.
     let snap_path = session_file(&dir, &id, "snap");
     let mut bytes = std::fs::read(&snap_path).unwrap();
     let mid = bytes.len() / 2;
@@ -409,15 +418,17 @@ fn restart_replays_at_most_snapshot_interval_records() {
     }
     drop(registry);
     // 5 steps = 11 ops (create + 5 suggests + 5 reports): far more than
-    // the active journal may hold after compaction.
-    let remaining = active_journal_records(&dir, &id);
+    // a restart may replay past the checkpoint.
+    assert!(session_file(&dir, &id, "snap").exists(), "no checkpoint");
+    let remaining = records_past_checkpoint(&dir, &id);
     assert!(
-        remaining as u64 <= SNAPSHOT_EVERY + 1,
-        "restart would replay {remaining} records, expected at most {}",
-        SNAPSHOT_EVERY + 1
+        remaining as u64 <= SNAPSHOT_EVERY,
+        "restart would replay {remaining} records, expected at most {SNAPSHOT_EVERY}"
     );
-    // And the archive holds everything the active journal dropped, so
-    // full replay stays possible.
+    // And the journal still holds every record, so full replay stays
+    // possible.
+    let journal = read_journal(&session_file(&dir, &id, "jsonl")).unwrap();
+    assert_eq!(journal.len(), 11);
     let registry = open_one_shard(&dir, SNAPSHOT_EVERY);
     assert!(registry.get(&id).is_some());
     std::fs::remove_dir_all(&dir).ok();
