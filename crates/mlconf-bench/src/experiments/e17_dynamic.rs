@@ -179,8 +179,8 @@ fn run_arm(
     }
     ArmRun {
         deploys,
-        retunes: s.stats().retune_count,
-        drift_events: s.stats().drift_events,
+        retunes: s.drift().map_or(0, DriftCtl::retune_count),
+        drift_events: s.drift().map_or(0, DriftCtl::drift_events),
         probe_cost_secs,
         wall_secs: s.wall_secs(),
     }

@@ -49,6 +49,8 @@ pub type ExecutorFactory<'a> = dyn Fn(u64) -> TrialExecutor + Sync + 'a;
 /// [`replicate`] with every trial routed through a seed-specific
 /// [`TrialExecutor`] — the entry point for fault-injected experiments.
 #[allow(clippy::too_many_arguments)]
+// One thread per seed, not a claim pool: each replicate is a whole run.
+#[allow(clippy::disallowed_methods)]
 pub fn replicate_executed(
     workload: &Workload,
     objective: Objective,

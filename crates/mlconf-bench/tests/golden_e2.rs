@@ -16,6 +16,7 @@ use mlconf_tuners::factory::build_tuner;
 use mlconf_tuners::session::{
     Ask, AskTellSession, Concurrency, TrialEvent, TrialObserver, TuningSession,
 };
+use mlconf_util::optim::set_threads;
 use mlconf_workloads::evaluator::ConfigEvaluator;
 use mlconf_workloads::objective::Objective;
 use mlconf_workloads::workload::{logreg_criteo, mlp_mnist};
@@ -83,10 +84,7 @@ fn observers_are_inert_at_golden_seeds() {
         let ev = ConfigEvaluator::new(mlp_mnist(), Objective::TimeToAccuracy, 16, seed);
         for concurrency in [
             Concurrency::Sequential,
-            Concurrency::Batched {
-                batch_size: 4,
-                eval_threads: 0,
-            },
+            Concurrency::Batched { batch_size: 4 },
         ] {
             let mut plain_tuner = BoTuner::with_defaults(ev.space().clone(), seed);
             let plain = TuningSession::new(&ev, 14, seed)
@@ -109,30 +107,29 @@ fn observers_are_inert_at_golden_seeds() {
 
 /// Constant-liar batches preassign every trial's index, repetition and
 /// incumbent cutoff before fanning out, so a batched run is
-/// bit-identical across 1/2/4/8 evaluation threads at the golden seeds.
+/// bit-identical across 1/2/4/8 threads at the golden seeds.
 #[test]
 fn batched_runs_are_thread_count_invariant_at_golden_seeds() {
     for seed in [11u64, 22, 33] {
         let ev = ConfigEvaluator::new(mlp_mnist(), Objective::TimeToAccuracy, 16, seed);
-        let run = |eval_threads: usize| {
+        let run = |threads: usize| {
+            set_threads(threads);
             let mut tuner = BoTuner::with_defaults(ev.space().clone(), seed);
             TuningSession::new(&ev, 14, seed)
-                .concurrency(Concurrency::Batched {
-                    batch_size: 4,
-                    eval_threads,
-                })
+                .concurrency(Concurrency::Batched { batch_size: 4 })
                 .run(&mut tuner)
         };
         let one = run(1);
         assert_eq!(one.history.len(), 14);
-        for eval_threads in [2, 4, 8] {
+        for threads in [2, 4, 8] {
             assert_eq!(
                 one,
-                run(eval_threads),
-                "batched session diverged (seed {seed}, {eval_threads} threads)"
+                run(threads),
+                "batched session diverged (seed {seed}, {threads} threads)"
             );
         }
     }
+    set_threads(0);
 }
 
 /// Records the arm names of every `ArmSelected` event, in order.
@@ -223,53 +220,46 @@ fn single_arm_portfolio_is_bit_identical_to_bare_arm_at_golden_seeds() {
 
         let mut bare = build_tuner("bo", ev.space().clone(), budget, seed, None).unwrap();
         let reference = TuningSession::new(&ev, budget, seed)
-            .concurrency(Concurrency::Batched {
-                batch_size: 4,
-                eval_threads: 4,
-            })
+            .concurrency(Concurrency::Batched { batch_size: 4 })
             .run(bare.as_mut());
         let mut wrapped =
             build_tuner("portfolio:bo", ev.space().clone(), budget, seed, None).unwrap();
         let portfolio = TuningSession::new(&ev, budget, seed)
-            .concurrency(Concurrency::Batched {
-                batch_size: 4,
-                eval_threads: 4,
-            })
+            .concurrency(Concurrency::Batched { batch_size: 4 })
             .run(wrapped.as_mut());
         assert_eq!(reference.history, portfolio.history, "seed {seed}: batched");
     }
 }
 
 /// The multi-arm portfolio's run — history *and* the arm-selection
-/// trace — must not depend on evaluation parallelism: batched runs at
-/// 1/2/4/8 eval threads all reproduce the single-thread result.
+/// trace — must not depend on parallelism: batched runs at 1/2/4/8
+/// threads all reproduce the single-thread result.
 #[test]
 fn portfolio_arm_selection_is_thread_count_invariant_at_golden_seeds() {
     for seed in [11u64, 22, 33] {
         let ev = ConfigEvaluator::new(mlp_mnist(), Objective::TimeToAccuracy, 16, seed);
         let budget = 14;
-        let run_at = |eval_threads: usize| {
+        let run_at = |threads: usize| {
+            set_threads(threads);
             let mut tuner =
                 build_tuner("portfolio", ev.space().clone(), budget, seed, None).unwrap();
             let mut trace = ArmTrace::default();
             let result = TuningSession::new(&ev, budget, seed)
-                .concurrency(Concurrency::Batched {
-                    batch_size: 4,
-                    eval_threads,
-                })
+                .concurrency(Concurrency::Batched { batch_size: 4 })
                 .observe_with(Box::new(&mut trace))
                 .run(tuner.as_mut());
             (result, trace.0)
         };
         let reference = run_at(1);
-        for eval_threads in [2, 4, 8] {
+        for threads in [2, 4, 8] {
             assert_eq!(
-                run_at(eval_threads),
+                run_at(threads),
                 reference,
-                "seed {seed}: {eval_threads} eval threads changed the run"
+                "seed {seed}: {threads} threads changed the run"
             );
         }
     }
+    set_threads(0);
 }
 
 /// Attaching a *stationary* scenario script must be invisible: the
@@ -297,17 +287,11 @@ fn noop_scenario_leaves_golden_sessions_byte_identical() {
 
         let mut plain_tuner = BoTuner::with_defaults(plain_ev.space().clone(), seed);
         let plain = TuningSession::new(&plain_ev, 14, seed)
-            .concurrency(Concurrency::Batched {
-                batch_size: 4,
-                eval_threads: 4,
-            })
+            .concurrency(Concurrency::Batched { batch_size: 4 })
             .run(&mut plain_tuner);
         let mut scripted_tuner = BoTuner::with_defaults(scripted_ev.space().clone(), seed);
         let scripted = TuningSession::new(&scripted_ev, 14, seed)
-            .concurrency(Concurrency::Batched {
-                batch_size: 4,
-                eval_threads: 4,
-            })
+            .concurrency(Concurrency::Batched { batch_size: 4 })
             .run(&mut scripted_tuner);
         assert_eq!(
             plain, scripted,

@@ -93,7 +93,8 @@ TUNE FLAGS:
   --save-history F   write the trial history CSV to F
   --warm-start F     add a saved history CSV to BO as prior data (composes
                      with bo: specs, e.g. --tuner bo:surrogate=sparse)
-  --parallel K       evaluate K trials concurrently (constant-liar batches)
+  --parallel K       suggest K trials per round (constant-liar batches) and
+                     evaluate each round on up to every core
   --trial-timeout S  kill trials running past S simulated seconds (0 = off)
   --max-retries N    retry crashed trials up to N times with backoff   [default 0]
   --fault-plan F     inject the scripted fault plan CSV F (chaos testing)

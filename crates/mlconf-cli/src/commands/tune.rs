@@ -220,7 +220,6 @@ pub fn tune_cmd(args: &Args) -> Result<String, CliError> {
     if parallel > 1 {
         session = session.concurrency(Concurrency::Batched {
             batch_size: parallel,
-            eval_threads: 0,
         });
     }
     if let Some((_, sink)) = trace.as_mut() {
@@ -354,7 +353,7 @@ fn json_summary(
         ("tuner", Json::Str(result.tuner.clone())),
         ("trials", count(result.history.len())),
         ("failed", count(failed)),
-        ("stopped_early", Json::Bool(result.stopped_early)),
+        ("stopped_early", Json::Bool(result.stop_reason.is_some())),
         (
             "stop_reason",
             result

@@ -52,12 +52,12 @@ use crate::json::{obj, parse, Json};
 use crate::snapshot::{self, SessionFiles, SnapshotData};
 use mlconf_tuners::drift::{DriftConfig, DriftCtl};
 use mlconf_tuners::factory::build_tuner;
-use mlconf_tuners::session::{Ask, AskTellSession};
+use mlconf_tuners::session::AskTellSession;
 use mlconf_tuners::tuner::Tuner;
 use mlconf_util::hash::fnv1a;
 use mlconf_workloads::tunespace::default_config;
 use std::collections::HashMap;
-use std::io::Write as _;
+use std::io::{BufRead as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -206,37 +206,37 @@ impl ServedSession {
     ///
     /// Idempotent while a trial is outstanding: re-suggesting returns
     /// the same pending trial without touching the RNG or the journal.
-    /// A state-advancing ask is journaled before it executes, so a crash
-    /// between journal and response replays to the same state the
+    /// Polling a finished session likewise answers `done` without a
+    /// journal write. A state-advancing ask — including the one that
+    /// finishes the session — is journaled before it executes, so a
+    /// crash between journal and response replays to the same state the
     /// client would have seen.
     ///
     /// # Errors
     ///
     /// Returns 500 if the journal write fails (the ask does not happen).
     pub fn suggest(&mut self) -> Result<Json, ServeError> {
-        if let Some(p) = self.core.pending() {
-            let epoch = self.core.wall_secs();
-            return Ok(with_epoch(pending_to_json(p), epoch));
+        if self.core.pending().is_none() && !self.core.is_finished() {
+            self.journal
+                .append(&JournalOp::Suggest)
+                .map_err(|e| ServeError::internal(format!("journal write failed: {e}")))?;
+            self.core
+                .ask(self.tuner.as_mut())
+                .expect("no pending trial outstanding");
+            self.after_op();
         }
-        self.journal
-            .append(&JournalOp::Suggest)
-            .map_err(|e| ServeError::internal(format!("journal write failed: {e}")))?;
-        let response = match self
-            .core
-            .ask(self.tuner.as_mut())
-            .expect("no pending trial outstanding")
-        {
-            Ask::Trial(p) => with_epoch(pending_to_json(&p), self.core.wall_secs()),
-            Ask::Finished { reason } => obj([
+        Ok(match self.core.pending() {
+            Some(p) => with_epoch(pending_to_json(p), self.core.wall_secs()),
+            None => obj([
                 ("done", Json::Bool(true)),
                 (
                     "reason",
-                    reason.map_or(Json::Null, |r| Json::Str(r.name().into())),
+                    self.core
+                        .stop_reason()
+                        .map_or(Json::Null, |r| Json::Str(r.name().into())),
                 ),
             ]),
-        };
-        self.after_op();
-        Ok(response)
+        })
     }
 
     /// Handles `POST /sessions/{id}/report`.
@@ -410,11 +410,11 @@ impl ServedSession {
             ),
             (
                 "drift_events",
-                Json::Num(self.core.stats().drift_events as f64),
+                Json::Num(self.core.drift().map_or(0, DriftCtl::drift_events) as f64),
             ),
             (
                 "retune_count",
-                Json::Num(self.core.stats().retune_count as f64),
+                Json::Num(self.core.drift().map_or(0, DriftCtl::retune_count) as f64),
             ),
             ("wall_secs", tagged_num(self.core.wall_secs())),
             ("best", best),
@@ -600,7 +600,9 @@ impl SessionRegistry {
     /// of journal lengths. Files from a previous shard count — or the
     /// pre-sharding flat layout — are migrated into the directory the
     /// current hash assigns, and sessions in the older archive layout
-    /// are converted to one journal.
+    /// are converted to one journal. A journal without one complete
+    /// record belongs to a `create` that never answered; its files are
+    /// removed, and its id stays reserved.
     ///
     /// # Errors
     ///
@@ -660,6 +662,14 @@ impl SessionRegistry {
                     // The old files stay as they are: the session parks,
                     // its revival fails, and the next open retries.
                     eprintln!("mlconf-serve: converting session {id}'s old layout failed: {e}");
+                } else {
+                    let files = SessionFiles::new(&shards[k].dir, &id);
+                    if let Ok(false) = holds_a_record(&files.journal) {
+                        // Never acknowledged: `create` answers once its record is fsynced.
+                        eprintln!("mlconf-serve: removing session {id}: its create never landed");
+                        files.remove_all();
+                        continue;
+                    }
                 }
                 shards[k]
                     .inner
@@ -878,6 +888,14 @@ impl SessionRegistry {
     }
 }
 
+/// Whether `journal` holds at least one complete (newline-terminated)
+/// record. Reads only up to the first newline.
+fn holds_a_record(journal: &Path) -> std::io::Result<bool> {
+    let mut first = Vec::new();
+    std::io::BufReader::new(std::fs::File::open(journal)?).read_until(b'\n', &mut first)?;
+    Ok(first.last() == Some(&b'\n'))
+}
+
 /// Moves one session's files from wherever a previous layout left them
 /// to the directory the current shard hash assigns. The checkpoint (and
 /// an old layout's archive) move first and the journal last: the
@@ -1061,6 +1079,66 @@ mod tests {
         let ops = read_journal(&registry.files_for(id).journal).unwrap();
         let suggests = ops.iter().filter(|o| **o == JournalOp::Suggest).count();
         assert_eq!(suggests, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn polling_a_finished_session_writes_nothing() {
+        let dir = tmpdir("poll_done");
+        let config = RegistryConfig {
+            snapshot_every: 2,
+            shards: 1,
+            max_sessions: 0,
+        };
+        let registry = SessionRegistry::open(&dir, config.clone()).unwrap();
+        let created = registry.create(&create_body("bo", 3, 4)).unwrap();
+        let id = created.get("id").unwrap().as_str().unwrap().to_owned();
+        drive(&registry, &id, 4);
+        let files = registry.files_for(&id);
+        let journal = std::fs::read(&files.journal).unwrap();
+        let snap = std::fs::read(&files.snap).unwrap();
+        let handle = registry.get(&id).unwrap();
+        let done = handle.lock().unwrap().suggest().unwrap();
+        assert_eq!(done.get("done").and_then(Json::as_bool), Some(true));
+        for _ in 0..3 {
+            assert_eq!(handle.lock().unwrap().suggest().unwrap(), done);
+        }
+        assert_eq!(std::fs::read(&files.journal).unwrap(), journal);
+        assert_eq!(std::fs::read(&files.snap).unwrap(), snap);
+        let status = handle.lock().unwrap().status_json().render();
+        drop((handle, registry));
+
+        let registry = SessionRegistry::open(&dir, config).unwrap();
+        let handle = registry.get(&id).expect("finished session revives");
+        assert_eq!(handle.lock().unwrap().status_json().render(), status);
+        assert_eq!(handle.lock().unwrap().suggest().unwrap(), done);
+        assert_eq!(std::fs::read(&files.journal).unwrap(), journal);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_removes_journals_whose_create_never_landed() {
+        let dir = tmpdir("unacknowledged");
+        let shard = dir.join("shard-0");
+        std::fs::create_dir_all(&shard).unwrap();
+        // An empty journal, and one torn inside its create record next
+        // to a stray temp file from a checkpoint.
+        std::fs::write(shard.join("s9.jsonl"), b"").unwrap();
+        std::fs::write(shard.join("s8.jsonl"), b"{\"op\":\"create\",\"spec\":{\"tu").unwrap();
+        std::fs::write(shard.join("s8.snap.tmp"), b"{\"crc\"").unwrap();
+        // A complete first record that does not decode stays as evidence.
+        std::fs::write(shard.join("s7.jsonl"), b"garbage\n").unwrap();
+        let config = RegistryConfig {
+            snapshot_every: 0,
+            shards: 1,
+            max_sessions: 0,
+        };
+        let registry = SessionRegistry::open(&dir, config).unwrap();
+        assert_eq!(registry.list(), vec!["s7".to_owned()]);
+        assert_eq!(walk_files(&dir), vec!["s7.jsonl".to_owned()]);
+        // The removed ids stay reserved.
+        let created = registry.create(&create_body("random", 2, 1)).unwrap();
+        assert_eq!(created.get("id").unwrap().as_str(), Some("s10"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1303,6 +1381,91 @@ mod tests {
         let data = Json::Obj(fields).render();
         let crc = fnv1a(data.as_bytes());
         format!("{{\"crc\":\"{crc:016x}\",\"data\":{data}}}\n").into_bytes()
+    }
+
+    #[test]
+    fn checkpoint_with_the_older_stats_layout_revives_from_its_offset() {
+        // Before the session kept only its execution totals, a
+        // checkpoint's `stats` also held trial counts, the incumbent, the
+        // stop reason and drift counts, and the session a `best_seen`.
+        let dir = tmpdir("stats_layout");
+        let registry = SessionRegistry::open(&dir, RegistryConfig::new(0)).unwrap();
+        let created = registry.create(&create_body("bo", 12, 13)).unwrap();
+        let id = created.get("id").unwrap().as_str().unwrap().to_owned();
+        let ev = evaluator(13);
+        for _ in 0..4 {
+            assert!(step(&registry, &id, &ev));
+        }
+        let files = registry.files_for(&id);
+        let handle = registry.get(&id).unwrap();
+        assert!(handle.lock().unwrap().snapshot_now().unwrap());
+        let best = tagged_num(best_objective(handle.lock().unwrap().core()).unwrap());
+        assert!(step(&registry, &id, &ev));
+        let pending = handle.lock().unwrap().suggest().unwrap().render();
+        let status = handle.lock().unwrap().status_json().render();
+        drop((handle, registry));
+
+        // Re-frame the checkpoint in the older layout.
+        let frame = parse(std::fs::read_to_string(&files.snap).unwrap().trim_end()).unwrap();
+        let data = frame.get("data").unwrap();
+        let Some(Json::Obj(mut session)) = data.get("session").cloned() else {
+            panic!("checkpoint without a session object")
+        };
+        let stats = data.get("session").and_then(|s| s.get("stats")).unwrap();
+        let total = |key: &'static str| (key, stats.get(key).unwrap().clone());
+        let older_stats = obj([
+            ("started", Json::Num(4.0)),
+            ("completed", Json::Num(4.0)),
+            ("improvements", Json::Num(1.0)),
+            ("best_objective", best.clone()),
+            ("stop_reason", Json::Null),
+            total("timeouts"),
+            total("crashes"),
+            total("ooms"),
+            total("retries"),
+            total("wasted_machine_secs"),
+            total("backoff_secs"),
+            ("drift_events", Json::Num(0.0)),
+            ("retune_count", Json::Num(0.0)),
+        ]);
+        session.retain(|(k, _)| k != "best_seen");
+        let at = session.iter().position(|(k, _)| k == "wall_secs").unwrap() + 1;
+        session.insert(at, ("best_seen".to_owned(), best));
+        for (k, v) in &mut session {
+            if k == "stats" {
+                *v = older_stats.clone();
+            }
+        }
+        let Json::Obj(mut fields) = data.clone() else {
+            unreachable!("checkpoint data is an object")
+        };
+        for (k, v) in &mut fields {
+            if k == "session" {
+                *v = Json::Obj(session.clone());
+            }
+        }
+        let older = Json::Obj(fields).render();
+        let crc = fnv1a(older.as_bytes());
+        std::fs::write(
+            &files.snap,
+            format!("{{\"crc\":\"{crc:016x}\",\"data\":{older}}}\n"),
+        )
+        .unwrap();
+
+        let snap = snapshot::load(&files.snap).expect("the older layout loads");
+        assert_eq!(
+            Some(snap.offset as i64),
+            data.get("offset").and_then(Json::as_i64)
+        );
+        let mut revived =
+            revive(&id, files.clone(), Some(snap), 0).expect("revives from its offset");
+        assert_eq!(revived.status_json().render(), status);
+        assert_eq!(revived.suggest().unwrap().render(), pending);
+        drop(revived);
+        let mut replayed = revive(&id, files, None, 0).expect("full replay");
+        assert_eq!(replayed.status_json().render(), status);
+        assert_eq!(replayed.suggest().unwrap().render(), pending);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -47,7 +47,7 @@ use crate::api::{
 use crate::journal::fsync_dir;
 use crate::json::{obj, parse, Json};
 use mlconf_space::space::ConfigSpace;
-use mlconf_tuners::session::{PendingTrial, SessionResumeState, StopReason};
+use mlconf_tuners::session::{ExecStats, PendingTrial, SessionResumeState, StopReason};
 use mlconf_tuners::tuner::{StateValue, TrialHistory, TunerState};
 use mlconf_util::hash::fnv1a;
 use std::fs::File;
@@ -175,39 +175,15 @@ fn pending_from_json(space: &ConfigSpace, v: &Json) -> Result<PendingTrial, ApiE
     })
 }
 
-fn stats_to_json(s: &mlconf_tuners::session::StatsAggregator) -> Json {
+fn exec_to_json(s: &ExecStats) -> Json {
     obj([
-        ("started", Json::Num(s.started as f64)),
-        ("completed", Json::Num(s.completed as f64)),
-        ("improvements", Json::Num(s.improvements as f64)),
-        (
-            "best_objective",
-            s.best_objective.map_or(Json::Null, tagged_num),
-        ),
-        (
-            "stop_reason",
-            s.stop_reason
-                .map_or(Json::Null, |r| Json::Str(r.name().into())),
-        ),
-        ("timeouts", Json::Num(s.exec.timeouts as f64)),
-        ("crashes", Json::Num(s.exec.crashes as f64)),
-        ("ooms", Json::Num(s.exec.ooms as f64)),
-        ("retries", Json::Num(s.exec.retries as f64)),
-        (
-            "wasted_machine_secs",
-            tagged_num(s.exec.wasted_machine_secs),
-        ),
-        ("backoff_secs", tagged_num(s.exec.backoff_secs)),
-        ("drift_events", Json::Num(s.drift_events as f64)),
-        ("retune_count", Json::Num(s.retune_count as f64)),
+        ("timeouts", Json::Num(s.timeouts as f64)),
+        ("crashes", Json::Num(s.crashes as f64)),
+        ("ooms", Json::Num(s.ooms as f64)),
+        ("retries", Json::Num(s.retries as f64)),
+        ("wasted_machine_secs", tagged_num(s.wasted_machine_secs)),
+        ("backoff_secs", tagged_num(s.backoff_secs)),
     ])
-}
-
-fn opt_num(v: &Json, key: &str) -> Result<Option<f64>, ApiError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(x) => num_from_json(x, key).map(Some),
-    }
 }
 
 fn stop_reason_from_json(v: &Json, key: &str) -> Result<Option<StopReason>, ApiError> {
@@ -220,33 +196,18 @@ fn stop_reason_from_json(v: &Json, key: &str) -> Result<Option<StopReason>, ApiE
     }
 }
 
-fn stats_from_json(v: &Json) -> Result<mlconf_tuners::session::StatsAggregator, ApiError> {
-    Ok(mlconf_tuners::session::StatsAggregator {
-        exec: mlconf_tuners::session::ExecStats {
-            timeouts: usize_field(v, "timeouts")?,
-            crashes: usize_field(v, "crashes")?,
-            ooms: usize_field(v, "ooms")?,
-            retries: usize_field(v, "retries")?,
-            wasted_machine_secs: num_field(v, "wasted_machine_secs")?,
-            backoff_secs: num_field(v, "backoff_secs")?,
-        },
-        started: usize_field(v, "started")?,
-        completed: usize_field(v, "completed")?,
-        improvements: usize_field(v, "improvements")?,
-        best_objective: opt_num(v, "best_objective")?,
-        stop_reason: stop_reason_from_json(v, "stop_reason")?,
-        drift_events: usize_field_or_zero(v, "drift_events")?,
-        retune_count: usize_field_or_zero(v, "retune_count")?,
+/// Decodes the execution totals. Keys beyond the six are ignored: a
+/// checkpoint written before the session kept only these totals also
+/// carried trial counts, the incumbent, the stop reason and drift counts.
+fn exec_from_json(v: &Json) -> Result<ExecStats, ApiError> {
+    Ok(ExecStats {
+        timeouts: usize_field(v, "timeouts")?,
+        crashes: usize_field(v, "crashes")?,
+        ooms: usize_field(v, "ooms")?,
+        retries: usize_field(v, "retries")?,
+        wasted_machine_secs: num_field(v, "wasted_machine_secs")?,
+        backoff_secs: num_field(v, "backoff_secs")?,
     })
-}
-
-/// Like [`usize_field`], but an absent key reads as zero — snapshots
-/// written before the field existed stay restorable.
-fn usize_field_or_zero(v: &Json, key: &str) -> Result<usize, ApiError> {
-    match v.get(key) {
-        None => Ok(0),
-        Some(_) => usize_field(v, key),
-    }
 }
 
 fn u64_field(v: &Json, key: &str) -> Result<u64, ApiError> {
@@ -347,7 +308,6 @@ fn session_to_json(s: &SessionResumeState) -> Json {
         ),
         ("cost_secs", tagged_num(s.cost_secs)),
         ("wall_secs", tagged_num(s.wall_secs)),
-        ("best_seen", tagged_num(s.best_seen)),
         (
             "stop_reason",
             s.stop_reason
@@ -358,7 +318,7 @@ fn session_to_json(s: &SessionResumeState) -> Json {
             s.pending.as_ref().map_or(Json::Null, pending_to_json),
         ),
         ("finished", Json::Bool(s.finished)),
-        ("stats", stats_to_json(&s.stats)),
+        ("stats", exec_to_json(&s.exec)),
         ("drift", s.drift.as_ref().map_or(Json::Null, drift_to_json)),
     ])
 }
@@ -401,13 +361,12 @@ fn session_from_json(space: &ConfigSpace, v: &Json) -> Result<SessionResumeState
         acq_below,
         cost_secs: num_field(v, "cost_secs")?,
         wall_secs: num_field(v, "wall_secs")?,
-        best_seen: num_field(v, "best_seen")?,
         stop_reason: stop_reason_from_json(v, "stop_reason")?,
         pending,
         finished: field(v, "finished")?
             .as_bool()
             .ok_or_else(|| ApiError("`finished` must be a bool".into()))?,
-        stats: stats_from_json(field(v, "stats")?)?,
+        exec: exec_from_json(field(v, "stats")?)?,
         drift,
     })
 }

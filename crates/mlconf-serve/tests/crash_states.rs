@@ -12,7 +12,8 @@
 //! each checkpoint choice and the stray temp file — and checks that
 //! revival lands on the uninterrupted run's status and next suggestion
 //! at the last complete record, and that finishing the run from there
-//! reproduces its final status and journal.
+//! reproduces its final status and journal. A state with no complete
+//! record was never acknowledged, and opening removes it.
 
 use mlconf_serve::api::{config_from_json, outcome_to_json};
 use mlconf_serve::json::{obj, parse, Json};
@@ -181,8 +182,10 @@ fn check_every_crash_state(tuner: &str) {
                 let registry = open(&dir);
                 if complete == 0 {
                     // The create record never landed, so the session was
-                    // never acknowledged: it stays parked.
+                    // never acknowledged: opening removes its files.
                     assert!(registry.get(&r.id).is_none(), "{label}");
+                    assert!(!registry.list().contains(&r.id), "{label}");
+                    assert!(!file("jsonl").exists(), "{label}");
                     continue;
                 }
                 let handle = registry.get(&r.id).expect(&label);

@@ -75,7 +75,6 @@ pub use factory::{bo_spec, build_tuner, FactoryError};
 pub use portfolio::PortfolioTuner;
 pub use session::{
     Ask, AskTellError, AskTellSession, Concurrency, ExecStats, JsonlTraceSink, PendingTrial,
-    StatsAggregator, StopCondition, StopReason, TrialEvent, TrialObserver, TuneResult,
-    TuningSession,
+    StopCondition, StopReason, TrialEvent, TrialObserver, TuneResult, TuningSession,
 };
 pub use tuner::{TrialHistory, TrialRecord, Tuner, TunerError};

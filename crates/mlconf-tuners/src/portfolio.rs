@@ -702,23 +702,26 @@ mod tests {
                 budget in 6usize..14,
                 which in 0usize..SPECS.len(),
             ) {
+                use mlconf_util::optim::set_threads;
                 let spec = SPECS[which];
                 let ev = evaluator(seed);
-                let run_at = |eval_threads: usize| {
+                let run_at = |threads: usize| {
+                    set_threads(threads);
                     let mut tuner = portfolio(spec, budget, seed);
                     let mut trace = ArmTrace::default();
                     let result = TuningSession::new(&ev, budget, seed)
-                        .concurrency(Concurrency::Batched { batch_size: 3, eval_threads })
+                        .concurrency(Concurrency::Batched { batch_size: 3 })
                         .observe_with(Box::new(&mut trace))
                         .run(tuner.as_mut());
                     (result, trace.0)
                 };
                 let reference = run_at(1);
                 prop_assert_eq!(reference.1.len(), budget);
-                for eval_threads in [2usize, 4, 8] {
-                    let got = run_at(eval_threads);
-                    prop_assert_eq!(&got, &reference, "{} eval threads", eval_threads);
+                for threads in [2usize, 4, 8] {
+                    let got = run_at(threads);
+                    prop_assert_eq!(&got, &reference, "{} threads", threads);
                 }
+                set_threads(0);
             }
 
             /// Conservation and fairness of the bandit schedule: every

@@ -308,6 +308,8 @@ pub fn auto_threads() -> usize {
 /// # Panics
 ///
 /// Propagates a panic from `job`.
+// The one pool: `clippy.toml` bans `crossbeam::thread::scope` elsewhere.
+#[allow(clippy::disallowed_methods)]
 pub fn claim_map<T: Send>(jobs: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let threads = auto_threads().min(jobs);
     if threads <= 1 {
