@@ -106,8 +106,8 @@ pub struct AcquisitionChoice {
     pub value: f64,
 }
 
-/// Candidates scored per [`claim_map`] job: each job reuses one
-/// prediction workspace across its chunk.
+/// Candidates scored per [`claim_map`] job: each job scores its chunk
+/// in one [`Surrogate::predict_many`] batch.
 const SCORE_CHUNK: usize = 64;
 
 /// Maximizes the acquisition over `[0,1]^dims` with a hybrid strategy:
@@ -162,13 +162,9 @@ pub fn maximize_acquisition<S: Surrogate + Sync + ?Sized, R: Rng + ?Sized>(
 
     let chunks: Vec<&[Vec<f64>]> = candidates.chunks(SCORE_CHUNK).collect();
     let scores = claim_map(chunks.len(), |i| {
-        let mut ws = PredictWorkspace::default();
-        chunks[i]
+        gp.predict_many(chunks[i])
             .iter()
-            .map(|c| {
-                let p = gp.predict_with(c, &mut ws);
-                acq.score(p.mean, p.std_dev(), best)
-            })
+            .map(|p| acq.score(p.mean, p.std_dev(), best))
             .collect::<Vec<f64>>()
     })
     .concat();

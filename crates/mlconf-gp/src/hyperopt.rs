@@ -4,23 +4,26 @@
 //! Three things make this path fast. Each likelihood evaluation reuses
 //! a [`DistanceWorkspace`] built once per training set, so changing ARD
 //! lengthscales only recombines cached squared differences instead of
-//! re-touching every input pair. Each worker thread owns one Gram
-//! buffer, reused across the hundreds of likelihood evaluations its
-//! restarts perform (`gram_into` overwrites every entry, so reuse is
-//! bit-identical to a fresh allocation — but the O(n²) allocate-and-zero
-//! per evaluation is gone, which matters at n ≥ 200 where the buffer is
-//! hundreds of kilobytes). And the independent restarts are *claimed*
-//! dynamically by the calling thread's workers
-//! ([`multi_start_nelder_mead`]) with seed-stable start points and
-//! start-order folding, so no thread is stranded with all the expensive
-//! restarts and results are bit-identical for any thread count.
+//! re-touching every input pair. Each worker thread owns one set of
+//! likelihood buffers — kernel, Gram matrix, Cholesky factor and solve
+//! vector — reused across the hundreds of evaluations its restarts
+//! perform, so an evaluation allocates nothing (every buffer is fully
+//! overwritten, so reuse is bit-identical to fresh allocations). And
+//! the independent restarts are *claimed* dynamically by the calling
+//! thread's workers ([`multi_start_nelder_mead`]) with seed-stable start
+//! points and start-order folding, so no thread is stranded with all the
+//! expensive restarts and results are bit-identical for any thread
+//! count.
+
+use std::cell::RefCell;
 
 use mlconf_util::linalg::Cholesky;
+use mlconf_util::matrix::Matrix;
 use mlconf_util::optim::{multi_start_nelder_mead, NelderMeadOptions};
 use rand::Rng;
 
 use crate::gp::{GaussianProcess, GpError};
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, KernelFamily};
 use crate::workspace::DistanceWorkspace;
 
 /// Options for marginal-likelihood optimization.
@@ -49,6 +52,63 @@ impl Default for HyperoptOptions {
             log_noise_bounds: ((1e-6f64).ln(), (1.0f64).ln()),
         }
     }
+}
+
+/// One thread's buffers for likelihood evaluations.
+struct LikelihoodScratch {
+    kernel: Kernel,
+    gram: Matrix,
+    chol: Cholesky,
+    alpha: Vec<f64>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Option<LikelihoodScratch>> = const { RefCell::new(None) };
+}
+
+impl LikelihoodScratch {
+    /// Negated log marginal likelihood of the standardized targets `y_z`
+    /// at log-space parameters `p` (kernel parameters, then log noise);
+    /// `+inf` when no jitter level factors the Gram matrix.
+    fn neg_lml(&mut self, workspace: &DistanceWorkspace, y_z: &[f64], p: &[f64]) -> f64 {
+        let n_kernel_params = self.kernel.n_params();
+        self.kernel.set_log_params(&p[..n_kernel_params]);
+        let noise = p[n_kernel_params].exp();
+        workspace.gram_into(&self.kernel, &mut self.gram);
+        self.gram.add_diagonal(noise.max(1e-10));
+        match self.chol.refactor_with_jitter(&self.gram, 0.0, 12) {
+            Ok(_) => {
+                self.chol.solve_vec_into(y_z, &mut self.alpha);
+                -crate::gp::lml_from_parts(y_z, &self.alpha, &self.chol)
+            }
+            Err(_) => f64::INFINITY,
+        }
+    }
+}
+
+/// Runs `f` on the calling thread's likelihood buffers, first sizing
+/// them for `n` points under a `family` kernel of `dims` dimensions.
+fn with_scratch<T>(
+    family: KernelFamily,
+    dims: usize,
+    n: usize,
+    f: impl FnOnce(&mut LikelihoodScratch) -> T,
+) -> T {
+    SCRATCH.with(|cell| {
+        let mut slot = cell.borrow_mut();
+        let fits = slot.as_ref().is_some_and(|s| {
+            s.kernel.family() == family && s.kernel.dims() == dims && s.alpha.len() == n
+        });
+        if !fits {
+            *slot = Some(LikelihoodScratch {
+                kernel: Kernel::new(family, dims),
+                gram: Matrix::zeros(n, n),
+                chol: Cholesky::default(),
+                alpha: vec![0.0; n],
+            });
+        }
+        f(slot.as_mut().expect("sized above"))
+    })
 }
 
 /// Fits a GP with hyperparameters chosen by maximizing the log marginal
@@ -97,35 +157,9 @@ pub fn fit_optimized<R: Rng + ?Sized>(
     let workspace = DistanceWorkspace::new(x);
     let (_, _, y_z) = crate::gp::standardize(y);
     let n = x.len();
-    let objective = move |p: &[f64]| -> f64 {
-        // One Gram buffer per worker thread, reused across every
-        // likelihood evaluation that thread performs. `gram_into`
-        // overwrites all n² entries (including the diagonal the previous
-        // evaluation perturbed), so the reuse is bit-identical to the
-        // old allocate-fresh path while dropping an O(n²) zeroed
-        // allocation from the innermost loop.
-        thread_local! {
-            static GRAM_BUF: std::cell::RefCell<mlconf_util::matrix::Matrix> =
-                std::cell::RefCell::new(mlconf_util::matrix::Matrix::zeros(1, 1));
-        }
-        let mut kernel = Kernel::new(family, dims);
-        kernel.set_log_params(&p[..n_kernel_params]);
-        let noise = p[n_kernel_params].exp();
-        GRAM_BUF.with(|buf| {
-            let mut k = buf.borrow_mut();
-            if k.rows() != n || k.cols() != n {
-                *k = mlconf_util::matrix::Matrix::zeros(n, n);
-            }
-            workspace.gram_into(&kernel, &mut k);
-            k.add_diagonal(noise.max(1e-10));
-            match Cholesky::factor_with_jitter(&k, 0.0, 12) {
-                Ok((chol, _)) => {
-                    let alpha = chol.solve_vec(&y_z);
-                    // Negated: the optimizer minimizes.
-                    -crate::gp::lml_from_parts(&y_z, &alpha, &chol)
-                }
-                Err(_) => f64::INFINITY,
-            }
+    let objective = |p: &[f64]| -> f64 {
+        with_scratch(family, dims, n, |scratch| {
+            scratch.neg_lml(&workspace, &y_z, p)
         })
     };
 

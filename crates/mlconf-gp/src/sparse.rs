@@ -228,6 +228,10 @@ impl Surrogate for SparseGaussianProcess {
         self.gp.predict_with(x_star, ws)
     }
 
+    fn predict_many(&self, xs: &[Vec<f64>]) -> Vec<Prediction> {
+        self.gp.predict_many(xs)
+    }
+
     fn kernel(&self) -> &Kernel {
         self.gp.kernel()
     }

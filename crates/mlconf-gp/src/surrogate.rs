@@ -32,6 +32,19 @@ pub trait Surrogate {
         self.predict_with(x_star, &mut PredictWorkspace::default())
     }
 
+    /// Posterior predictions at every query, each bit-identical to
+    /// [`Surrogate::predict_with`]. The default loops over the queries
+    /// with one shared workspace; implementations override it with a
+    /// batched path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a query has the wrong dimensionality.
+    fn predict_many(&self, xs: &[Vec<f64>]) -> Vec<Prediction> {
+        let mut ws = PredictWorkspace::default();
+        xs.iter().map(|x| self.predict_with(x, &mut ws)).collect()
+    }
+
     /// The kernel in use (with its fitted hyperparameters).
     fn kernel(&self) -> &Kernel;
 
@@ -49,6 +62,10 @@ pub trait Surrogate {
 impl Surrogate for GaussianProcess {
     fn predict_with(&self, x_star: &[f64], ws: &mut PredictWorkspace) -> Prediction {
         GaussianProcess::predict_with(self, x_star, ws)
+    }
+
+    fn predict_many(&self, xs: &[Vec<f64>]) -> Vec<Prediction> {
+        GaussianProcess::predict_many(self, xs)
     }
 
     fn kernel(&self) -> &Kernel {

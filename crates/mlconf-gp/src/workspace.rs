@@ -7,7 +7,7 @@
 //! differences can be computed once and recombined per candidate
 //! lengthscale vector. That turns each likelihood evaluation's Gram
 //! assembly from `O(n² d)` input-touching work (with a division per
-//! dimension) into a cache-friendly multiply–add sweep over a
+//! dimension) into one multiply–add sweep per dimension over a
 //! precomputed table.
 
 use mlconf_util::matrix::Matrix;
@@ -17,10 +17,14 @@ use crate::kernel::Kernel;
 /// Precomputed per-dimension squared differences for a fixed training
 /// set, shared by all Gram evaluations during hyperparameter search.
 ///
-/// Storage is pair-major over the lower triangle: the `dims` squared
-/// differences of a pair sit contiguously, so the recombination loop for
-/// one Gram entry is a single contiguous dot product with the inverse
-/// squared lengthscales.
+/// Storage is dimension-major over the lower triangle: dimension `d`'s
+/// squared differences of every pair sit contiguously, in the row-major
+/// order of the Gram's lower triangle. A Gram row's pairs then
+/// accumulate their `r²` together, one independent, vectorizable sweep
+/// per dimension, where a pair-major table would make each `r²` one
+/// dependent chain. Each pair still starts at `0.0` and adds its
+/// dimensions in ascending order, so every `r²`, and with it the Gram,
+/// is bit-identical to the pair-major sum.
 ///
 /// # Examples
 ///
@@ -39,7 +43,8 @@ use crate::kernel::Kernel;
 pub struct DistanceWorkspace {
     n: usize,
     dims: usize,
-    /// `sq[(i(i+1)/2 + j) * dims + d] = (xs[i][d] - xs[j][d])²` for `j ≤ i`.
+    /// `sq[d * pairs + i(i+1)/2 + j] = (xs[i][d] - xs[j][d])²` for
+    /// `j ≤ i`, with `pairs = n(n+1)/2`.
     sq: Vec<f64>,
 }
 
@@ -56,13 +61,15 @@ impl DistanceWorkspace {
         );
         let n = xs.len();
         let dims = xs[0].len();
-        let mut sq = Vec::with_capacity(n * (n + 1) / 2 * dims);
-        for (i, xi) in xs.iter().enumerate() {
+        for xi in xs {
             assert_eq!(xi.len(), dims, "ragged training inputs");
-            for xj in &xs[..=i] {
-                for (&a, &b) in xi.iter().zip(xj) {
-                    let d = a - b;
-                    sq.push(d * d);
+        }
+        let mut sq = Vec::with_capacity(n * (n + 1) / 2 * dims);
+        for d in 0..dims {
+            for (i, xi) in xs.iter().enumerate() {
+                for xj in &xs[..=i] {
+                    let diff = xi[d] - xj[d];
+                    sq.push(diff * diff);
                 }
             }
         }
@@ -101,7 +108,8 @@ impl DistanceWorkspace {
     }
 
     /// Allocation-free variant of [`DistanceWorkspace::gram`] writing
-    /// into a caller-owned `n × n` matrix.
+    /// into a caller-owned `n × n` matrix. Every entry is overwritten, so
+    /// a reused buffer gives the same matrix as a fresh one.
     ///
     /// # Panics
     ///
@@ -119,24 +127,25 @@ impl DistanceWorkspace {
             n = self.n
         );
         crate::ops::add_kernel_evals((self.n as u64 * (self.n as u64 + 1)) / 2);
+        let pairs = self.n * (self.n + 1) / 2;
         let sv = kernel.signal_variance();
-        let inv_l2: Vec<f64> = kernel
-            .lengthscales()
-            .iter()
-            .map(|l| 1.0 / (l * l))
-            .collect();
-        let mut pair = 0;
         for i in 0..self.n {
-            for j in 0..=i {
-                let block = &self.sq[pair * self.dims..(pair + 1) * self.dims];
-                let mut r2 = 0.0;
-                for (&d2, &w) in block.iter().zip(&inv_l2) {
-                    r2 += d2 * w;
+            // Row i's pairs accumulate r² in place: 0.0, then dimension
+            // 0, 1, … in order, each dimension one sweep over the row.
+            let first = i * (i + 1) / 2;
+            let row = &mut out.row_mut(i)[..=i];
+            row.fill(0.0);
+            for (block, l) in self.sq.chunks_exact(pairs).zip(kernel.lengthscales()) {
+                let w = 1.0 / (l * l);
+                for (r2, &d2) in row.iter_mut().zip(&block[first..=first + i]) {
+                    *r2 += d2 * w;
                 }
-                let v = sv * kernel.shape(r2);
-                out[(i, j)] = v;
-                out[(j, i)] = v;
-                pair += 1;
+            }
+            for r2 in row.iter_mut() {
+                *r2 = sv * kernel.shape(*r2);
+            }
+            for j in 0..i {
+                out[(j, i)] = out[(i, j)];
             }
         }
     }
@@ -183,6 +192,60 @@ mod tests {
         for ls in [0.1, 0.5, 2.0] {
             let kernel = Kernel::with_params(KernelFamily::SquaredExp, 1.7, vec![ls, ls * 2.0]);
             assert!(ws.gram(&kernel).max_abs_diff(&kernel.gram(&xs)) < 1e-12);
+        }
+    }
+
+    /// The pair-major recombination the dimension-major table replaced:
+    /// each pair's `r²` summed over its dimensions in one chain.
+    fn pair_major_gram(xs: &[Vec<f64>], kernel: &Kernel) -> Matrix {
+        let inv_l2: Vec<f64> = kernel
+            .lengthscales()
+            .iter()
+            .map(|l| 1.0 / (l * l))
+            .collect();
+        let mut out = Matrix::zeros(xs.len(), xs.len());
+        for i in 0..xs.len() {
+            for j in 0..=i {
+                let mut r2 = 0.0;
+                for ((&a, &b), &w) in xs[i].iter().zip(&xs[j]).zip(&inv_l2) {
+                    let d = a - b;
+                    r2 += d * d * w;
+                }
+                let v = kernel.signal_variance() * kernel.shape(r2);
+                out[(i, j)] = v;
+                out[(j, i)] = v;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn dimension_major_gram_is_bit_identical_to_pair_major() {
+        use mlconf_util::rng::Pcg64;
+        use rand::Rng;
+        let mut rng = Pcg64::seed(5);
+        for (n, dims) in [(1, 1), (2, 3), (9, 1), (17, 4), (40, 9), (65, 2)] {
+            let xs: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..dims).map(|_| rng.gen_range(0.0..1.0)).collect())
+                .collect();
+            let ws = DistanceWorkspace::new(&xs);
+            // A dirty buffer: gram_into must overwrite every entry.
+            let mut reused = Matrix::from_fn(n, n, |i, j| (i * n + j) as f64 - 7.5);
+            for fam in KernelFamily::all() {
+                let mut kernel = Kernel::new(fam, dims);
+                let params: Vec<f64> = (0..=dims).map(|_| rng.gen_range(-3.0..2.0)).collect();
+                kernel.set_log_params(&params);
+                let want = pair_major_gram(&xs, &kernel);
+                ws.gram_into(&kernel, &mut reused);
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&ws.gram(&kernel)),
+                    bits(&want),
+                    "{fam} n={n} dims={dims}"
+                );
+                assert_eq!(bits(&reused), bits(&want), "{fam} n={n} dims={dims} reused");
+            }
         }
     }
 

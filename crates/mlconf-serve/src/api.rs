@@ -405,12 +405,18 @@ pub fn outcome_to_json(o: &TrialOutcome) -> Json {
 ///
 /// # Errors
 ///
-/// Returns [`ApiError`] on missing or mistyped fields.
+/// Returns [`ApiError`] on missing or mistyped fields, and on a
+/// non-finite `objective` or `censored_at`: the tuner ranks successes by
+/// objective and trains on censoring bounds, and neither has a place for
+/// `nan` or `inf`.
 pub fn outcome_from_json(v: &Json) -> Result<TrialOutcome, ApiError> {
     let opt_num = |key: &str| -> Result<Option<f64>, ApiError> {
         match v.get(key) {
             None | Some(Json::Null) => Ok(None),
-            Some(x) => num_from_json(x, key).map(Some),
+            Some(x) => match num_from_json(x, key)? {
+                n if n.is_finite() => Ok(Some(n)),
+                n => Err(ApiError(format!("`{key}` must be finite, got {n}"))),
+            },
         }
     };
     let failure = match v.get("failure") {

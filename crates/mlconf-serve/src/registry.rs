@@ -1142,6 +1142,110 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A report body for a successful trial whose `objective` is the
+    /// given JSON value (a number, or a tagged `"nan"`/`"inf"`).
+    fn success_body(objective: Json) -> Json {
+        let outcome = mlconf_workloads::objective::TrialOutcome {
+            objective: Some(1.0),
+            failure: None,
+            tta_secs: 10.0,
+            cost_usd: 0.5,
+            throughput: 100.0,
+            staleness_steps: 0.0,
+            search_cost_machine_secs: 80.0,
+            censored_at: None,
+            attempts: 1,
+        };
+        let Json::Obj(mut fields) = outcome_to_json(&outcome) else {
+            unreachable!("outcomes encode as objects")
+        };
+        for (key, value) in &mut fields {
+            if key == "objective" {
+                *value = objective.clone();
+            }
+        }
+        obj([("outcome", Json::Obj(fields))])
+    }
+
+    #[test]
+    fn non_finite_reports_are_refused_before_the_journal() {
+        let dir = tmpdir("non_finite");
+        let registry = SessionRegistry::open(&dir, RegistryConfig::new(0)).unwrap();
+        let created = registry.create(&create_body("random", 6, 2)).unwrap();
+        let id = created.get("id").unwrap().as_str().unwrap().to_owned();
+        let handle = registry.get(&id).unwrap();
+        let journal = registry.files_for(&id).journal;
+        handle.lock().unwrap().suggest().unwrap();
+        let first = success_body(Json::Num(5.0));
+        handle.lock().unwrap().report(&first).unwrap();
+        handle.lock().unwrap().suggest().unwrap();
+        let before = std::fs::read(&journal).unwrap();
+        for bad in ["nan", "inf"] {
+            let body = success_body(Json::Str(bad.into()));
+            let err = handle.lock().unwrap().report(&body).unwrap_err();
+            assert_eq!(err.status, 400, "objective {bad}: {}", err.message);
+            assert_eq!(
+                std::fs::read(&journal).unwrap(),
+                before,
+                "{bad} was journaled"
+            );
+            let status = handle.lock().unwrap().status_json();
+            assert_eq!(status.get("trials").unwrap().as_i64(), Some(1));
+        }
+        handle
+            .lock()
+            .unwrap()
+            .report(&success_body(Json::Num(4.0)))
+            .unwrap();
+        let status = handle.lock().unwrap().status_json();
+        assert_eq!(status.get("trials").unwrap().as_i64(), Some(2));
+        let best = status.get("best").unwrap().get("objective").unwrap();
+        assert_eq!(best.as_f64(), Some(4.0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn journaled_non_finite_report_stays_parked() {
+        // A journal written before reports were checked can hold a NaN
+        // objective: replay refuses it instead of panicking on it.
+        let dir = tmpdir("non_finite_replay");
+        let config = RegistryConfig {
+            snapshot_every: 0,
+            shards: 1,
+            max_sessions: 0,
+        };
+        let id = {
+            let registry = SessionRegistry::open(&dir, config.clone()).unwrap();
+            let created = registry.create(&create_body("random", 6, 2)).unwrap();
+            let id = created.get("id").unwrap().as_str().unwrap().to_owned();
+            let handle = registry.get(&id).unwrap();
+            handle.lock().unwrap().suggest().unwrap();
+            let first = success_body(Json::Num(5.0));
+            handle.lock().unwrap().report(&first).unwrap();
+            handle.lock().unwrap().suggest().unwrap();
+            id
+        };
+        let journal = SessionFiles::new(&dir.join("shard-0"), &id).journal;
+        let Json::Obj(executed) = success_body(Json::Str("nan".into())) else {
+            unreachable!("report bodies are objects")
+        };
+        let record = JournalOp::Report {
+            executed: Json::Obj(executed),
+            key: None,
+        };
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(&journal)
+            .unwrap()
+            .write_all(record.line().as_bytes())
+            .unwrap();
+        let registry = SessionRegistry::open(&dir, config).unwrap();
+        assert_eq!(registry.list(), vec![id.clone()]);
+        assert!(registry.get(&id).is_none(), "a NaN report revived");
+        assert!(registry.get(&id).is_none(), "the session stays parked");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn report_without_pending_conflicts() {
         let dir = tmpdir("conflict");

@@ -471,26 +471,35 @@ impl Tuner for BoTuner {
         // only exist on big machine types). Score the incumbent's
         // *feasible config-space neighbours* under the same acquisition
         // and take the overall argmax — a discrete local-search arm that
-        // costs a handful of GP predictions.
+        // costs one batch of GP predictions.
         let mut best_cfg = self
             .space
             .decode_feasible(&choice.point, rng)
             .or_else(|_| self.space.sample(rng))?;
-        // Re-score the decoded (repaired) point: repair may have moved it.
-        let mut best_score = match self.space.encode(&best_cfg) {
-            Ok(enc) => self.config.acquisition.score_at(gp, &enc, best),
-            Err(_) => choice.value,
+        let neighbors = match history.best() {
+            Some(incumbent) => self.space.neighbors(&incumbent.config)?,
+            None => Vec::new(),
         };
-        if let Some(incumbent) = history.best() {
-            for neighbor in self.space.neighbors(&incumbent.config)? {
-                let Ok(enc) = self.space.encode(&neighbor) else {
-                    continue;
-                };
-                let score = self.config.acquisition.score_at(gp, &enc, best);
-                if score > best_score {
-                    best_score = score;
-                    best_cfg = neighbor;
-                }
+        // Re-score the decoded (repaired) point, since repair may have
+        // moved it, in one batch with the neighbours that encode.
+        let repaired = self.space.encode(&best_cfg).ok();
+        let (encoded, candidates): (Vec<Vec<f64>>, Vec<Configuration>) = neighbors
+            .into_iter()
+            .filter_map(|c| Some((self.space.encode(&c).ok()?, c)))
+            .unzip();
+        let queries: Vec<Vec<f64>> = repaired.iter().cloned().chain(encoded).collect();
+        let mut scores = gp
+            .predict_many(&queries)
+            .into_iter()
+            .map(|p| self.config.acquisition.score(p.mean, p.std_dev(), best));
+        let mut best_score = match repaired {
+            Some(_) => scores.next().expect("one score per query"),
+            None => choice.value,
+        };
+        for (score, neighbor) in scores.zip(candidates) {
+            if score > best_score {
+                best_score = score;
+                best_cfg = neighbor;
             }
         }
         self.last_acquisition = Some(best_score);

@@ -64,7 +64,30 @@ impl std::error::Error for LinalgError {}
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cholesky {
+    /// The factor. Its strict upper triangle is always zero: the
+    /// factorization borrows row `k`'s upper part as scratch during step
+    /// `k` and clears it before the step ends.
     l: Matrix,
+}
+
+impl Default for Cholesky {
+    /// The factor of the empty matrix: storage for
+    /// [`Cholesky::refactor_with_jitter`] to fill.
+    fn default() -> Self {
+        Cholesky {
+            l: Matrix::zeros(0, 0),
+        }
+    }
+}
+
+fn check_square(a: &Matrix) -> Result<(), LinalgError> {
+    if a.is_square() {
+        Ok(())
+    } else {
+        Err(LinalgError::ShapeMismatch {
+            detail: format!("cholesky of {}x{}", a.rows(), a.cols()),
+        })
+    }
 }
 
 impl Cholesky {
@@ -73,38 +96,28 @@ impl Cholesky {
     /// Only the lower triangle of `a` is read; symmetry of the upper
     /// triangle is the caller's responsibility.
     ///
+    /// The factorization is right-looking: step `k` takes the square
+    /// root of pivot `k`, divides column `k` by it, and subtracts
+    /// `L[i][k]·L[j][k]` from every trailing entry `(i, j)`. Each entry
+    /// thus receives the same subtractions, in the same ascending-`k`
+    /// order, as the textbook dot-product form `a[i][j] − Σₖ L[i][k]·L[j][k]`,
+    /// so `L` and the first failing pivot are bit-identical to it; but the
+    /// subtractions of one step are independent of each other, so they
+    /// run as contiguous vectorizable row sweeps instead of one dependent
+    /// chain per entry.
+    ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] for non-square input and
     /// [`LinalgError::NotPositiveDefinite`] when a pivot is non-positive.
     pub fn factor(a: &Matrix) -> Result<Self, LinalgError> {
-        if !a.is_square() {
-            return Err(LinalgError::ShapeMismatch {
-                detail: format!("cholesky of {}x{}", a.rows(), a.cols()),
-            });
-        }
-        let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite {
-                            pivot: i,
-                            value: sum,
-                        });
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
-        }
-        Ok(Cholesky { l })
+        check_square(a)?;
+        let mut chol = Cholesky {
+            l: Matrix::zeros(a.rows(), a.rows()),
+        };
+        chol.load_lower(a, None);
+        chol.factor_in_place()?;
+        Ok(chol)
     }
 
     /// Factors `a + jitter·I`, growing the jitter by ×10 on failure up to
@@ -122,15 +135,41 @@ impl Cholesky {
         initial_jitter: f64,
         max_tries: usize,
     ) -> Result<(Self, f64), LinalgError> {
+        let mut chol = Cholesky::default();
+        let jitter = chol.refactor_with_jitter(a, initial_jitter, max_tries)?;
+        Ok((chol, jitter))
+    }
+
+    /// [`Cholesky::factor_with_jitter`] into this factor's storage,
+    /// which is reused when `a` has the factor's dimension. Returns the
+    /// jitter that succeeded; the factor is bit-identical to the one
+    /// [`Cholesky::factor_with_jitter`] returns.
+    ///
+    /// The hyperparameter search refactors one Gram matrix per
+    /// likelihood evaluation, hundreds of times per fit, so it keeps one
+    /// factor per thread and refactors it in place.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cholesky::factor_with_jitter`]. After an error the factor
+    /// holds a partial factorization and must be refactored before use.
+    pub fn refactor_with_jitter(
+        &mut self,
+        a: &Matrix,
+        initial_jitter: f64,
+        max_tries: usize,
+    ) -> Result<f64, LinalgError> {
+        check_square(a)?;
+        if self.l.rows() != a.rows() {
+            self.l = Matrix::zeros(a.rows(), a.rows());
+        }
         let mut jitter = initial_jitter;
         let mut last_err = LinalgError::Singular;
         for attempt in 0..max_tries.max(1) {
-            let mut m = a.clone();
-            if attempt > 0 || jitter > 0.0 {
-                m.add_diagonal(jitter);
-            }
-            match Cholesky::factor(&m) {
-                Ok(c) => return Ok((c, jitter)),
+            let shift = (attempt > 0 || jitter > 0.0).then_some(jitter);
+            self.load_lower(a, shift);
+            match self.factor_in_place() {
+                Ok(()) => return Ok(jitter),
                 Err(e) => {
                     last_err = e;
                     jitter = if jitter == 0.0 { 1e-10 } else { jitter * 10.0 };
@@ -138,6 +177,50 @@ impl Cholesky {
             }
         }
         Err(last_err)
+    }
+
+    /// Copies the lower triangle of `a` (same dimension as the factor)
+    /// into the factor, adding `shift` to the diagonal when given.
+    fn load_lower(&mut self, a: &Matrix, shift: Option<f64>) {
+        for i in 0..a.rows() {
+            let row = &mut self.l.row_mut(i)[..=i];
+            row.copy_from_slice(&a.row(i)[..=i]);
+            if let Some(s) = shift {
+                row[i] += s;
+            }
+        }
+    }
+
+    /// Right-looking factorization of the lower triangle already in
+    /// `self.l` (see [`Cholesky::factor`]).
+    fn factor_in_place(&mut self) -> Result<(), LinalgError> {
+        let n = self.l.rows();
+        for k in 0..n {
+            let pivot = self.l[(k, k)];
+            if pivot <= 0.0 || !pivot.is_finite() {
+                return Err(LinalgError::NotPositiveDefinite {
+                    pivot: k,
+                    value: pivot,
+                });
+            }
+            let d = pivot.sqrt();
+            self.l[(k, k)] = d;
+            for i in k + 1..n {
+                let (head, tail) = self.l.split_rows_at_mut(i);
+                // Row k's strict upper part collects column k, so the
+                // trailing update reads it contiguously.
+                let col = &mut head[k * n..(k + 1) * n];
+                let row = &mut tail[..n];
+                let lik = row[k] / d;
+                row[k] = lik;
+                col[i] = lik;
+                for (x, &ljk) in row[k + 1..=i].iter_mut().zip(&col[k + 1..=i]) {
+                    *x -= lik * ljk;
+                }
+            }
+            self.l.row_mut(k)[k + 1..].fill(0.0);
+        }
+        Ok(())
     }
 
     /// The lower-triangular factor `L`.
@@ -156,8 +239,20 @@ impl Cholesky {
     ///
     /// Panics if `b.len() != self.dim()`.
     pub fn solve_vec(&self, b: &[f64]) -> Vec<f64> {
-        let y = solve_lower(&self.l, b);
-        solve_upper_from_lower_transpose(&self.l, &y)
+        let mut x = vec![0.0; self.dim()];
+        self.solve_vec_into(b, &mut x);
+        x
+    }
+
+    /// Allocation-free variant of [`Cholesky::solve_vec`] writing the
+    /// solution into a caller-owned buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` or `x.len()` differ from `self.dim()`.
+    pub fn solve_vec_into(&self, b: &[f64], x: &mut [f64]) {
+        solve_lower_into(&self.l, b, x);
+        solve_upper_in_place(&self.l, x);
     }
 
     /// Solves `L y = b` only (forward substitution), used by GP posterior
@@ -178,20 +273,6 @@ impl Cholesky {
     /// Panics if `b.len()` or `y.len()` differ from `self.dim()`.
     pub fn solve_lower_vec_into(&self, b: &[f64], y: &mut [f64]) {
         solve_lower_into(&self.l, b, y);
-    }
-
-    /// Solves `A X = B` for all columns of `B` at once.
-    ///
-    /// Results are bit-identical to per-column [`Cholesky::solve_vec`]
-    /// (same accumulation order per column), but the batched sweep walks
-    /// rows of the factor once instead of once per column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.rows() != self.dim()`.
-    pub fn solve_mat(&self, b: &Matrix) -> Matrix {
-        let y = solve_lower_batch(&self.l, b);
-        solve_upper_from_lower_transpose_batch(&self.l, &y)
     }
 
     /// Solves `L Y = B` for all columns of `B` at once (batched forward
@@ -225,8 +306,9 @@ impl Cholesky {
                 detail: format!("update_append col has {} entries, dim is {n}", col.len()),
             });
         }
-        // New row of L by forward substitution, mirroring the inner loop of
-        // `factor` exactly: row[k] plays the role of l[(i, k)].
+        // New row of L by forward substitution. Entry j receives the
+        // subtractions `factor` gives entry (n, j), in the same ascending
+        // order: row[k] plays the role of l[(n, k)].
         let mut row = vec![0.0; n];
         for j in 0..n {
             let mut sum = col[j];
@@ -254,11 +336,6 @@ impl Cholesky {
     /// Log-determinant of `A`, i.e. `2 Σ ln L[i][i]`.
     pub fn log_det(&self) -> f64 {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
-
-    /// Explicit inverse of `A` (use solves instead where possible).
-    pub fn inverse(&self) -> Matrix {
-        self.solve_mat(&Matrix::identity(self.dim()))
     }
 }
 
@@ -295,24 +372,21 @@ pub fn solve_lower_into(l: &Matrix, b: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Solves `Lᵀ x = y` given lower-triangular `L` (backward substitution).
-///
-/// # Panics
-///
-/// Panics on shape mismatch or a zero diagonal entry.
-pub fn solve_upper_from_lower_transpose(l: &Matrix, y: &[f64]) -> Vec<f64> {
+/// Backward substitution in place: `x` holds `y` on entry and the
+/// solution of `Lᵀ x = y` (for lower-triangular `L`) on return. Entry
+/// `i` is read just before it is overwritten and only solved entries
+/// `k > i` feed it, so no second buffer is needed.
+fn solve_upper_in_place(l: &Matrix, x: &mut [f64]) {
     let n = l.rows();
-    assert_eq!(y.len(), n, "solve_upper shape mismatch");
-    let mut x = vec![0.0; n];
+    assert_eq!(x.len(), n, "solve_upper shape mismatch");
     for i in (0..n).rev() {
-        let mut sum = y[i];
-        for (k, xk) in x.iter().enumerate().skip(i + 1) {
+        let mut sum = x[i];
+        for k in i + 1..n {
             // L[k][i] is the (i,k) entry of L^T.
-            sum -= l[(k, i)] * xk;
+            sum -= l[(k, i)] * x[k];
         }
         x[i] = sum / l[(i, i)];
     }
-    x
 }
 
 /// Solves `L Y = B` for all columns of `B` in one forward sweep.
@@ -326,55 +400,29 @@ pub fn solve_upper_from_lower_transpose(l: &Matrix, y: &[f64]) -> Vec<f64> {
 /// Panics on shape mismatch or a zero diagonal entry.
 pub fn solve_lower_batch(l: &Matrix, b: &Matrix) -> Matrix {
     let n = l.rows();
+    let m = b.cols();
     assert_eq!(b.rows(), n, "solve_lower_batch shape mismatch");
     let mut y = b.clone();
+    if m == 0 {
+        // No columns to solve (and `chunks_exact` needs a width).
+        return y;
+    }
     for i in 0..n {
         let lrow = l.row(i);
+        let (done, rest) = y.split_rows_at_mut(i);
+        let acc = &mut rest[..m];
         // acc[j] = b[i][j] - Σ_{k<i} L[i][k] · y[k][j], k ascending.
-        for k in 0..i {
-            let lik = lrow[k];
-            let (done, rest) = y.split_rows_at_mut(i);
-            let yk = &done[k * b.cols()..(k + 1) * b.cols()];
-            for (acc, &ykj) in rest[..b.cols()].iter_mut().zip(yk) {
-                *acc -= lik * ykj;
+        for (&lik, yk) in lrow[..i].iter().zip(done.chunks_exact(m)) {
+            for (a, &ykj) in acc.iter_mut().zip(yk) {
+                *a -= lik * ykj;
             }
         }
         assert!(lrow[i] != 0.0, "zero diagonal in triangular solve");
-        for acc in y.row_mut(i) {
-            *acc /= lrow[i];
+        for a in acc {
+            *a /= lrow[i];
         }
     }
     y
-}
-
-/// Solves `Lᵀ X = Y` for all columns of `Y` in one backward sweep; the
-/// batched counterpart of [`solve_upper_from_lower_transpose`], with
-/// bit-identical per-column results.
-///
-/// # Panics
-///
-/// Panics on shape mismatch or a zero diagonal entry.
-pub fn solve_upper_from_lower_transpose_batch(l: &Matrix, y: &Matrix) -> Matrix {
-    let n = l.rows();
-    assert_eq!(y.rows(), n, "solve_upper_batch shape mismatch");
-    let mut x = y.clone();
-    for i in (0..n).rev() {
-        for k in i + 1..n {
-            // L[k][i] is the (i, k) entry of Lᵀ.
-            let lki = l[(k, i)];
-            let (head, tail) = x.split_rows_at_mut(k);
-            let xk = &tail[..y.cols()];
-            for (acc, &xkj) in head[i * y.cols()..(i + 1) * y.cols()].iter_mut().zip(xk) {
-                *acc -= lki * xkj;
-            }
-        }
-        let lii = l[(i, i)];
-        assert!(lii != 0.0, "zero diagonal in triangular solve");
-        for acc in x.row_mut(i) {
-            *acc /= lii;
-        }
-    }
-    x
 }
 
 /// Ordinary least squares: finds `beta` minimizing `‖X·beta − y‖²` via the
@@ -478,28 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_times_original_is_identity() {
-        let a = spd_matrix(4, 3);
-        let inv = Cholesky::factor(&a).unwrap().inverse();
-        let prod = &a * &inv;
-        assert!(prod.max_abs_diff(&Matrix::identity(4)) < 1e-9);
-    }
-
-    #[test]
-    fn solve_mat_matches_solve_vec() {
-        let a = spd_matrix(4, 4);
-        let b = Matrix::from_fn(4, 2, |i, j| (i + j) as f64 + 1.0);
-        let chol = Cholesky::factor(&a).unwrap();
-        let x = chol.solve_mat(&b);
-        for j in 0..2 {
-            let col = chol.solve_vec(&b.col(j));
-            for i in 0..4 {
-                assert!((x[(i, j)] - col[i]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn least_squares_exact_fit() {
         // y = 2 + 3t, exactly representable.
         let t: Vec<f64> = (0..10).map(|i| i as f64).collect();
@@ -570,20 +596,6 @@ mod tests {
             let col = chol.solve_lower_vec(&b.col(j));
             for i in 0..6 {
                 assert_eq!(y[(i, j)], col[i], "batched forward solve must be exact");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_solve_mat_is_bit_identical_to_per_column() {
-        let a = spd_matrix(7, 7);
-        let b = Matrix::from_fn(7, 4, |i, j| ((i + 2) * (j + 1)) as f64 * 0.25 - 3.0);
-        let chol = Cholesky::factor(&a).unwrap();
-        let x = chol.solve_mat(&b);
-        for j in 0..4 {
-            let col = chol.solve_vec(&b.col(j));
-            for i in 0..7 {
-                assert_eq!(x[(i, j)], col[i]);
             }
         }
     }
@@ -668,16 +680,137 @@ mod proptests {
             let a = spd_from_entries(n, raw);
             let b = Matrix::from_fn(n, cols, |i, j| rhs[i * cols + j]);
             let chol = Cholesky::factor(&a).unwrap();
-            let x = chol.solve_mat(&b);
             let y = chol.solve_lower_mat(&b);
             for j in 0..cols {
-                let xv = chol.solve_vec(&b.col(j));
                 let yv = chol.solve_lower_vec(&b.col(j));
                 for i in 0..n {
-                    prop_assert_eq!(x[(i, j)], xv[i]);
                     prop_assert_eq!(y[(i, j)], yv[i]);
                 }
             }
         }
+
+        #[test]
+        fn factor_is_bit_identical_to_the_dot_product_reference(
+            n in 1usize..=64,
+            kind in 0u8..3,
+            seed in 0u64..1 << 40,
+        ) {
+            let a = reference::test_matrix(n, kind, seed);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            match (Cholesky::factor(&a), reference::factor(&a)) {
+                (Ok(c), Ok(l)) => prop_assert_eq!(bits(c.l()), bits(&l)),
+                (Err(e), Err(r)) => prop_assert_eq!(reference::error_bits(&e), reference::error_bits(&r)),
+                (got, want) => prop_assert!(false, "factor {got:?} but reference {want:?}"),
+            }
+            // Refactoring storage that held another factor gives the same
+            // factor and jitter as a fresh one and as the reference.
+            let (mut reused, _) = Cholesky::factor_with_jitter(&reference::test_matrix(n, 0, !seed), 0.0, 12)
+                .expect("an SPD matrix factors");
+            let refactored = reused.refactor_with_jitter(&a, 0.0, 12);
+            match (Cholesky::factor_with_jitter(&a, 0.0, 12), reference::factor_with_jitter(&a, 0.0, 12)) {
+                (Ok((c, jitter)), Ok((l, want))) => {
+                    prop_assert_eq!(bits(c.l()), bits(&l));
+                    prop_assert_eq!(jitter.to_bits(), want.to_bits());
+                    prop_assert_eq!(refactored.map(f64::to_bits), Ok(want.to_bits()));
+                    prop_assert_eq!(bits(reused.l()), bits(&l));
+                }
+                (Err(e), Err(r)) => {
+                    prop_assert_eq!(reference::error_bits(&e), reference::error_bits(&r));
+                    let again = refactored.expect_err("fresh factor failed");
+                    prop_assert_eq!(reference::error_bits(&again), reference::error_bits(&r));
+                }
+                (got, want) => prop_assert!(false, "jittered {got:?} but reference {want:?}"),
+            }
+        }
+    }
+}
+
+/// The dot-product Cholesky the right-looking [`Cholesky::factor`]
+/// replaced, kept as the reference it must match bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::rng::Pcg64;
+    use rand::Rng;
+
+    /// Factors `a` with one dependent dot-product chain per entry.
+    pub fn factor(a: &Matrix) -> Result<Matrix, LinalgError> {
+        let n = a.rows();
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a[(i, j)];
+                for k in 0..j {
+                    sum -= l[(i, k)] * l[(j, k)];
+                }
+                if i == j {
+                    if sum <= 0.0 || !sum.is_finite() {
+                        return Err(LinalgError::NotPositiveDefinite {
+                            pivot: i,
+                            value: sum,
+                        });
+                    }
+                    l[(i, j)] = sum.sqrt();
+                } else {
+                    l[(i, j)] = sum / l[(j, j)];
+                }
+            }
+        }
+        Ok(l)
+    }
+
+    /// The jitter schedule on a fresh copy of `a` per attempt.
+    pub fn factor_with_jitter(
+        a: &Matrix,
+        initial_jitter: f64,
+        max_tries: usize,
+    ) -> Result<(Matrix, f64), LinalgError> {
+        let mut jitter = initial_jitter;
+        let mut last_err = LinalgError::Singular;
+        for attempt in 0..max_tries.max(1) {
+            let mut m = a.clone();
+            if attempt > 0 || jitter > 0.0 {
+                m.add_diagonal(jitter);
+            }
+            match factor(&m) {
+                Ok(l) => return Ok((l, jitter)),
+                Err(e) => {
+                    last_err = e;
+                    jitter = if jitter == 0.0 { 1e-10 } else { jitter * 10.0 };
+                }
+            }
+        }
+        Err(last_err)
+    }
+
+    /// A pivot failure as comparable bits.
+    pub fn error_bits(e: &LinalgError) -> Option<(usize, u64)> {
+        match e {
+            LinalgError::NotPositiveDefinite { pivot, value } => Some((*pivot, value.to_bits())),
+            _ => None,
+        }
+    }
+
+    /// An `n × n` symmetric test matrix `B Bᵀ + shift`: `kind` 0 is SPD
+    /// (small positive shift), 1 duplicates a row of `B` so the matrix is
+    /// singular and needs jitter, 2 subtracts enough from the diagonal to
+    /// make it indefinite at some pivot.
+    pub fn test_matrix(n: usize, kind: u8, seed: u64) -> Matrix {
+        let mut rng = Pcg64::seed(seed);
+        let mut b = Matrix::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0));
+        if kind == 1 && n > 1 {
+            let from = rng.gen_range(0..n);
+            let to = (from + rng.gen_range(1..n)) % n;
+            let row = b.row(from).to_vec();
+            b.row_mut(to).copy_from_slice(&row);
+        }
+        let mut a = &b * &b.transpose();
+        let shift = match kind {
+            0 => rng.gen_range(1e-6..1.0),
+            1 => 0.0,
+            _ => -(10f64).powf(rng.gen_range(-3.0..1.5)),
+        };
+        a.add_diagonal(shift);
+        a
     }
 }

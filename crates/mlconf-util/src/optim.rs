@@ -116,21 +116,22 @@ pub fn nelder_mead(
     const SIGMA: f64 = 0.5; // shrink
 
     while evals < opts.max_evals {
-        // Order the simplex by value.
+        // Order the simplex by value (stable: ties keep their order),
+        // moving each vertex into place rather than copying it.
         let mut idx: Vec<usize> = (0..=n).collect();
         idx.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).expect("NaN filtered"));
-        let ordered: Vec<Vec<f64>> = idx.iter().map(|&i| simplex[i].clone()).collect();
-        let ordered_vals: Vec<f64> = idx.iter().map(|&i| values[i]).collect();
-        simplex = ordered;
-        values = ordered_vals;
+        simplex = idx
+            .iter()
+            .map(|&i| std::mem::take(&mut simplex[i]))
+            .collect();
+        values = idx.iter().map(|&i| values[i]).collect();
 
         // Convergence checks.
         let f_spread = values[n] - values[0];
         let x_spread = (0..n)
             .map(|d| {
-                let col: Vec<f64> = simplex.iter().map(|p| p[d]).collect();
-                let mx = col.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                let mn = col.iter().cloned().fold(f64::INFINITY, f64::min);
+                let mx = simplex.iter().fold(f64::NEG_INFINITY, |m, p| m.max(p[d]));
+                let mn = simplex.iter().fold(f64::INFINITY, |m, p| m.min(p[d]));
                 mx - mn
             })
             .fold(0.0, f64::max);
