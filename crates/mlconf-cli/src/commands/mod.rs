@@ -81,9 +81,9 @@ TUNE FLAGS:
   --objective tta|cost|deadline  (deadline needs --deadline S) [default tta]
   --deadline SECS    deadline for the deadline objective
   --tuner bo|random|lhs|grid|coord|anneal|halving|hyperband|ernest|portfolio [default bo]
-  --portfolio-arms A,B,...  arm list for --tuner portfolio  [default bo,ernest]
-  --surrogate exact|sparse|auto  BO surrogate (sparse = subset-of-data GP) [default auto]
-  --sparse-threshold N   trial count where auto switches to sparse [default 512]
+                     or a spec: portfolio:A,B,... sets the arms [default bo,ernest];
+                     bo:surrogate=exact|sparse|auto,threshold=N sets BO's surrogate
+                     (sparse = subset-of-data GP) [default auto, 512]
   --budget N         trials                                    [default 30]
   --max-nodes N      cluster-size cap                          [default 32]
   --seed S                                                     [default 42]
@@ -145,9 +145,6 @@ pub fn dispatch(raw: &[String]) -> Result<String, CliError> {
         "objective",
         "deadline",
         "tuner",
-        "portfolio-arms",
-        "surrogate",
-        "sparse-threshold",
         "budget",
         "max-nodes",
         "save-history",
@@ -215,5 +212,17 @@ mod tests {
             "{err:?}"
         );
         assert!(!help().contains("--workers"));
+    }
+
+    #[test]
+    fn tune_has_no_tuner_sugar_flags() {
+        for flag in ["--portfolio-arms", "--surrogate", "--sparse-threshold"] {
+            let err = run_argv(&["tune", "--workload", "mlp-mnist", flag, "bo"]);
+            assert!(
+                matches!(&err, Err(CliError::Usage(m)) if m.contains(flag)),
+                "{flag}: {err:?}"
+            );
+            assert!(!help().contains(flag), "{flag}");
+        }
     }
 }

@@ -61,8 +61,7 @@ pub fn serve_cmd(args: &Args) -> Result<String, CliError> {
 
     let mut config = ServeConfig::new(journal_dir.into());
     config.shards = shards;
-    config.read_timeout = Duration::from_secs_f64(timeout);
-    config.write_timeout = Duration::from_secs_f64(timeout);
+    config.timeout = Duration::from_secs_f64(timeout);
     config.queue_depth = queue_depth;
     config.snapshot_every = snapshot_every;
     config.max_sessions = max_sessions;

@@ -28,9 +28,6 @@ pub fn tune_cmd(args: &Args) -> Result<String, CliError> {
         "objective",
         "deadline",
         "tuner",
-        "portfolio-arms",
-        "surrogate",
-        "sparse-threshold",
         "budget",
         "max-nodes",
         "seed",
@@ -92,49 +89,13 @@ pub fn tune_cmd(args: &Args) -> Result<String, CliError> {
         .map_err(|e| CliError::Usage(format!("--retune-policy: {e}")))?;
     let space = evaluator.space().clone();
 
-    // `--portfolio-arms bo,lhs` is sugar for `--tuner portfolio:bo,lhs`.
-    let tuner_name = match (args.get_or("tuner", "bo"), args.get("portfolio-arms")) {
-        (name, None) => name.to_owned(),
-        ("portfolio", Some(arms)) => format!("portfolio:{arms}"),
-        (other, Some(_)) => {
-            return Err(CliError::Usage(format!(
-                "--portfolio-arms only applies to --tuner portfolio, not `{other}`"
-            )))
-        }
-    };
-    // `--surrogate sparse --sparse-threshold 64` are sugar for the
-    // corresponding `bo:` spec options (`bo:surrogate=sparse,...`),
-    // mirroring how `--portfolio-arms` expands to a portfolio spec.
-    let tuner_name = match (args.get("surrogate"), args.get("sparse-threshold")) {
-        (None, None) => tuner_name,
-        (surrogate, threshold) => {
-            let mut opts: Vec<String> = match tuner_name.as_str() {
-                "bo" => Vec::new(),
-                spec => match spec.strip_prefix("bo:") {
-                    Some(rest) => vec![rest.to_owned()],
-                    None => {
-                        return Err(CliError::Usage(format!(
-                            "--surrogate/--sparse-threshold only apply to --tuner bo, \
-                             not `{tuner_name}`"
-                        )))
-                    }
-                },
-            };
-            if let Some(s) = surrogate {
-                opts.push(format!("surrogate={s}"));
-            }
-            if let Some(t) = threshold {
-                opts.push(format!("threshold={t}"));
-            }
-            format!("bo:{}", opts.join(","))
-        }
-    };
+    let tuner_name = args.get_or("tuner", "bo");
     // `--warm-start F` attaches a saved history as prior data to the
     // same BO tuner `--tuner bo[:spec]` builds. The tuner is checked
     // before the file is opened, so a misuse is reported as such.
     let mut tuner: Box<dyn Tuner + Send> = match args.get("warm-start") {
         None => build_tuner(
-            &tuner_name,
+            tuner_name,
             space,
             budget,
             seed,
@@ -142,7 +103,7 @@ pub fn tune_cmd(args: &Args) -> Result<String, CliError> {
         )
         .map_err(|e| CliError::Usage(e.to_string()))?,
         Some(path) => {
-            let config = match tuner_name.as_str() {
+            let config = match tuner_name {
                 "bo" => BoConfig::default(),
                 spec => bo_spec(spec)
                     .map_err(|e| CliError::Usage(e.to_string()))?
@@ -556,7 +517,7 @@ mod tests {
     }
 
     #[test]
-    fn surrogate_flags_run_and_reject_misuse() {
+    fn sparse_bo_spec_runs_and_rejects_misuse() {
         // A sparse-mode run small enough for CI: the threshold forces the
         // sparse path as soon as the model phase starts.
         let out = run_argv(&[
@@ -568,28 +529,10 @@ mod tests {
             "--max-nodes",
             "8",
             "--tuner",
-            "bo",
-            "--surrogate",
-            "sparse",
-            "--sparse-threshold",
-            "4",
-        ])
-        .unwrap();
-        assert!(out.contains("8 trials"), "{out}");
-        // Equivalent spec spelling works without the sugar flags.
-        let out2 = run_argv(&[
-            "tune",
-            "--workload",
-            "mlp-mnist",
-            "--budget",
-            "8",
-            "--max-nodes",
-            "8",
-            "--tuner",
             "bo:surrogate=sparse,threshold=4",
         ])
         .unwrap();
-        assert!(out2.contains("8 trials"), "{out2}");
+        assert!(out.contains("8 trials"), "{out}");
         // Only the BO tuner has a surrogate.
         assert!(matches!(
             run_argv(&[
@@ -597,9 +540,7 @@ mod tests {
                 "--workload",
                 "mlp-mnist",
                 "--tuner",
-                "random",
-                "--surrogate",
-                "sparse"
+                "random:surrogate=sparse"
             ]),
             Err(CliError::Usage(_))
         ));
@@ -610,9 +551,7 @@ mod tests {
                 "--workload",
                 "mlp-mnist",
                 "--tuner",
-                "bo",
-                "--surrogate",
-                "lazy"
+                "bo:surrogate=lazy"
             ]),
             Err(CliError::Usage(_))
         ));

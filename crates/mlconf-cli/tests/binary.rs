@@ -130,8 +130,8 @@ fn tune_end_to_end_with_history_save() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `--tuner portfolio` with an explicit `--portfolio-arms` list runs a
-/// full tuning loop end-to-end, deterministically across processes.
+/// `--tuner portfolio:` with an explicit arm list runs a full tuning
+/// loop end-to-end, deterministically across processes.
 #[test]
 fn tune_portfolio_end_to_end() {
     let run = || {
@@ -142,9 +142,7 @@ fn tune_portfolio_end_to_end() {
             "--budget",
             "6",
             "--tuner",
-            "portfolio",
-            "--portfolio-arms",
-            "bo,lhs",
+            "portfolio:bo,lhs",
             "--seed",
             "11",
         ]);
@@ -161,22 +159,18 @@ fn tune_portfolio_end_to_end() {
     assert_eq!(text, run(), "portfolio runs must agree across processes");
 }
 
-/// `--portfolio-arms` is only meaningful with `--tuner portfolio`, and
-/// malformed arm lists are rejected with a usage error, not a panic.
+/// Malformed portfolio arm lists are rejected with a usage error, not a
+/// panic.
 #[test]
-fn portfolio_flag_misuse_is_a_usage_error() {
+fn portfolio_spec_misuse_is_a_usage_error() {
     let base = ["tune", "--workload", "mlp-mnist", "--budget", "4"];
     for (extra, needle) in [
         (
-            &["--tuner", "bo", "--portfolio-arms", "bo,lhs"][..],
-            "--portfolio-arms only applies to --tuner portfolio",
-        ),
-        (
-            &["--tuner", "portfolio", "--portfolio-arms", "bo,warp"][..],
+            &["--tuner", "portfolio:bo,warp"][..],
             "unknown portfolio arm `warp`",
         ),
         (
-            &["--tuner", "portfolio", "--portfolio-arms", "bo,bo"][..],
+            &["--tuner", "portfolio:bo,bo"][..],
             "duplicate portfolio arm `bo`",
         ),
     ] {

@@ -1,6 +1,8 @@
 //! HTTP clients for the ask/tell service.
 //!
-//! Two layers:
+//! Two layers over one connection type, which writes each request with
+//! [`http::write_request`] and reads each response with the same
+//! [`http::parse`] the server's IO shards use:
 //!
 //! - [`request`]: one blocking request per connection, no retries. Used
 //!   by tests that want to observe a single server response verbatim.
@@ -15,9 +17,10 @@
 //!   server-side instead of double-applied. This is what lets a tuning
 //!   loop ride through process-kill chaos.
 
+use crate::http::{self, ReadLimits, Response, StatusLine};
 use crate::json::{self, Json};
 use mlconf_util::rng::SplitMix64;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -26,19 +29,97 @@ use std::time::Duration;
 /// executor never draw correlated jitter.
 const CLIENT_BACKOFF_STREAM: u64 = 0xbac0_ff5e_c11e_0000;
 
+/// Multiplier applied to the backoff per additional retry.
+const BACKOFF_FACTOR: f64 = 2.0;
+
+/// Jitter fraction: each backoff scales by `1 ± BACKOFF_JITTER`.
+const BACKOFF_JITTER: f64 = 0.25;
+
+/// Socket read and write timeout of every connection.
+const TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The fewest bytes each read asks the socket for.
+const READ_CHUNK: usize = 8 * 1024;
+
+/// Response limits: the default head budget and no body bound, since a
+/// long session's status is large. The declared length is never
+/// allocated up front; the buffer grows only as bytes arrive.
+const RESPONSE_LIMITS: ReadLimits = ReadLimits {
+    max_head_bytes: 16 * 1024,
+    max_body_bytes: usize::MAX,
+};
+
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_owned())
 }
 
-/// A parsed HTTP response, including the one header the client acts on.
-struct Response {
-    status: u16,
-    retry_after_secs: Option<u64>,
-    body: String,
+/// One connection and the bytes read from it but not yet parsed.
+struct Conn {
+    stream: TcpStream,
+    /// Every byte of `buf` is initialized once, when it grows, so a read
+    /// goes straight into `buf[filled..]`; `buf[..filled]` is unparsed.
+    buf: Vec<u8>,
+    filled: usize,
+}
+
+impl Conn {
+    fn open(addr: &str) -> io::Result<Conn> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_read_timeout(Some(TIMEOUT))?;
+        stream.set_write_timeout(Some(TIMEOUT))?;
+        let _ = stream.set_nodelay(true);
+        Ok(Conn {
+            stream,
+            buf: Vec::new(),
+            filled: 0,
+        })
+    }
+
+    /// Sends one request and reads its response.
+    fn round_trip(
+        &mut self,
+        host: &str,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+        close: bool,
+    ) -> io::Result<Response> {
+        let body = body.unwrap_or("");
+        let mut request = Vec::with_capacity(body.len() + 128);
+        http::write_request(&mut request, method, path, host, body, close);
+        // One write: a peer that answers after a partial read could
+        // reset the tail of a request sent in pieces.
+        self.stream.write_all(&request)?;
+        loop {
+            let parsed = http::parse::<StatusLine>(&self.buf[..self.filled], &RESPONSE_LIMITS)
+                .map_err(|e| bad(&e.message))?;
+            if let Some((response, used)) = parsed {
+                self.buf.copy_within(used..self.filled, 0);
+                self.filled -= used;
+                return Ok(response);
+            }
+            if self.buf.len() - self.filled < READ_CHUNK {
+                let grown = (2 * self.buf.len()).max(READ_CHUNK);
+                self.buf.resize(grown, 0);
+            }
+            match self.stream.read(&mut self.buf[self.filled..]) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "connection closed before a complete response",
+                    ))
+                }
+                Ok(n) => self.filled += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
 }
 
 /// Performs one HTTP request against `addr` (e.g. `"127.0.0.1:8080"`)
-/// and returns `(status, body)`. No retries.
+/// on a connection of its own, asking the server to close it after
+/// answering, and returns `(status, body)`. No retries.
 ///
 /// # Errors
 ///
@@ -49,90 +130,8 @@ pub fn request(
     path: &str,
     body: Option<&str>,
 ) -> io::Result<(u16, String)> {
-    let response = request_once(addr, method, path, body, Duration::from_secs(30))?;
-    Ok((response.status, response.body))
-}
-
-fn request_once(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    timeout: Duration,
-) -> io::Result<Response> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let mut writer = stream.try_clone()?;
-    let body = body.unwrap_or("");
-    // One buffered write: `write!` straight to the socket would emit a
-    // syscall per format fragment, and a peer that answers after a
-    // partial read could RST the tail of the request mid-flight.
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    writer.write_all(request.as_bytes())?;
-    writer.flush()?;
-
-    let mut reader = BufReader::new(stream);
-    let (response, _close) = read_response(&mut reader)?;
-    Ok(response)
-}
-
-/// Reads one HTTP response off a buffered stream; the second return
-/// value is whether the server asked to close the connection.
-fn read_response<R: BufRead>(reader: &mut R) -> io::Result<(Response, bool)> {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
-    if status_line.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed before the status line",
-        ));
-    }
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("malformed status line"))?;
-    let mut content_length = 0usize;
-    let mut retry_after_secs = None;
-    let mut close = false;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(bad("connection closed mid-headers"));
-        }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| bad("invalid content-length"))?;
-            } else if name.eq_ignore_ascii_case("retry-after") {
-                retry_after_secs = value.trim().parse().ok();
-            } else if name.eq_ignore_ascii_case("connection") {
-                close = value.trim().eq_ignore_ascii_case("close");
-            }
-        }
-    }
-    let mut buf = vec![0u8; content_length];
-    reader.read_exact(&mut buf)?;
-    let body = String::from_utf8(buf).map_err(|_| bad("response body is not UTF-8"))?;
-    Ok((
-        Response {
-            status,
-            retry_after_secs,
-            body,
-        },
-        close,
-    ))
+    let response = Conn::open(addr)?.round_trip(addr, method, path, body, true)?;
+    Ok((response.start.status, response.body))
 }
 
 /// A retrying client bound to one server address (re-pointable after a
@@ -142,9 +141,10 @@ fn read_response<R: BufRead>(reader: &mut R) -> io::Result<(Response, bool)> {
 /// the server being dead or mid-restart) and overload answers (429,
 /// 503). Everything else is returned to the caller on the first
 /// attempt. Backoff before retry `r` of operation `op` is
-/// `base * factor^r`, jittered by a draw from the deterministic stream
-/// `(seed, op, r)` and capped at `max_backoff`; a server-provided
-/// `Retry-After` overrides the computed backoff (still capped).
+/// `base * 2^r`, jittered by ±25% with a draw from the deterministic
+/// stream `(seed, op, r)` and capped at `max_backoff`; a
+/// server-provided `Retry-After` overrides the computed backoff (still
+/// capped).
 pub struct Client {
     addr: String,
     seed: u64,
@@ -152,19 +152,13 @@ pub struct Client {
     pub max_retries: u32,
     /// Backoff before the first retry, in seconds.
     pub backoff_base_secs: f64,
-    /// Multiplier applied per additional retry.
-    pub backoff_factor: f64,
-    /// Jitter fraction in `[0, 1]`: each backoff scales by `1 ± jitter`.
-    pub backoff_jitter: f64,
     /// Upper bound on any single sleep, in seconds.
     pub max_backoff_secs: f64,
-    /// Per-request socket timeout.
-    pub request_timeout: Duration,
     /// Monotonic operation counter; salts the jitter stream so distinct
     /// operations draw distinct backoff sequences.
     ops: u64,
     /// The live keep-alive connection, if the last request left one.
-    conn: Option<BufReader<TcpStream>>,
+    conn: Option<Conn>,
     /// Connections dialed over the client's lifetime (observability:
     /// a healthy loop against a healthy server opens exactly one).
     connections_opened: u64,
@@ -179,10 +173,7 @@ impl Client {
             seed,
             max_retries: 10,
             backoff_base_secs: 0.05,
-            backoff_factor: 2.0,
-            backoff_jitter: 0.25,
             max_backoff_secs: 2.0,
-            request_timeout: Duration::from_secs(30),
             ops: 0,
             conn: None,
             connections_opened: 0,
@@ -213,29 +204,17 @@ impl Client {
     /// retry dials fresh; a server-side `connection: close` drops it
     /// after the response is read.
     fn attempt(&mut self, method: &str, path: &str, body: Option<&str>) -> io::Result<Response> {
-        let mut reader = match self.conn.take() {
+        let mut conn = match self.conn.take() {
             Some(conn) => conn,
             None => {
-                let stream = TcpStream::connect(&self.addr)?;
-                stream.set_read_timeout(Some(self.request_timeout))?;
-                stream.set_write_timeout(Some(self.request_timeout))?;
-                let _ = stream.set_nodelay(true);
+                let conn = Conn::open(&self.addr)?;
                 self.connections_opened += 1;
-                BufReader::new(stream)
+                conn
             }
         };
-        let body = body.unwrap_or("");
-        let request = format!(
-            "{method} {path} HTTP/1.1\r\nhost: {}\r\ncontent-length: {}\r\n\r\n{body}",
-            self.addr,
-            body.len()
-        );
-        let stream = reader.get_mut();
-        stream.write_all(request.as_bytes())?;
-        stream.flush()?;
-        let (response, close) = read_response(&mut reader)?;
-        if !close {
-            self.conn = Some(reader);
+        let response = conn.round_trip(&self.addr, method, path, body, false)?;
+        if !response.wants_close() {
+            self.conn = Some(conn);
         }
         Ok(response)
     }
@@ -244,16 +223,16 @@ impl Client {
     /// `op` — the `RetryPolicy::backoff_secs` shape with the client's
     /// own stream tag.
     fn backoff_secs(&self, op: u64, retry: u32) -> f64 {
-        let raw = self.backoff_base_secs * self.backoff_factor.powi(retry as i32);
+        let raw = self.backoff_base_secs * BACKOFF_FACTOR.powi(retry as i32);
         let raw = raw.min(self.max_backoff_secs);
-        if self.backoff_jitter <= 0.0 || raw <= 0.0 {
+        if raw <= 0.0 {
             return raw;
         }
         let stream = CLIENT_BACKOFF_STREAM ^ (op << 16 | u64::from(retry));
         let mut rng = SplitMix64::new(self.seed.wrapping_mul(0x9e37_79b9).wrapping_add(stream));
         // Uniform in [0, 1) from the top 53 bits.
         let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        (raw * (1.0 + self.backoff_jitter * (2.0 * u - 1.0))).min(self.max_backoff_secs)
+        (raw * (1.0 + BACKOFF_JITTER * (2.0 * u - 1.0))).min(self.max_backoff_secs)
     }
 
     /// Performs `method path` with retries; returns the final
@@ -278,7 +257,7 @@ impl Client {
                 let secs = match last
                     .as_ref()
                     .and_then(|r| r.as_ref().ok())
-                    .and_then(|r| r.retry_after_secs)
+                    .and_then(|r| r.header("retry-after")?.parse::<u64>().ok())
                 {
                     Some(server_says) => (server_says as f64).min(self.max_backoff_secs),
                     None => self.backoff_secs(op, retry - 1),
@@ -288,15 +267,15 @@ impl Client {
                 }
             }
             match self.attempt(method, path, body) {
-                Ok(response) if matches!(response.status, 429 | 503) => {
+                Ok(response) if matches!(response.start.status, 429 | 503) => {
                     last = Some(Ok(response));
                 }
-                Ok(response) => return Ok((response.status, response.body)),
+                Ok(response) => return Ok((response.start.status, response.body)),
                 Err(err) => last = Some(Err(err)),
             }
         }
         match last.expect("at least one attempt ran") {
-            Ok(response) => Ok((response.status, response.body)),
+            Ok(response) => Ok((response.start.status, response.body)),
             Err(err) => Err(err),
         }
     }
@@ -509,6 +488,25 @@ mod tests {
         );
         drop(server);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_oversized_content_length_is_an_error_not_a_panic() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            read_request(&mut stream);
+            write!(
+                stream,
+                "HTTP/1.1 200 OK\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{{}}",
+                u64::MAX
+            )
+            .unwrap();
+        });
+        let result = request(&addr, "GET", "/healthz", None);
+        assert!(result.is_err(), "{result:?}");
+        server.join().unwrap();
     }
 
     #[test]

@@ -5,15 +5,17 @@
 //! An accept thread places each new connection on the least-loaded IO
 //! shard with room (bounded by `queue_depth + 1` connections per
 //! shard). Each shard thread multiplexes its connections with
-//! non-blocking reads, incremental request framing
-//! ([`crate::http::frame_len`]), and buffered non-blocking writes.
+//! non-blocking reads into a per-connection buffer, parses each request
+//! once, in place, as soon as the buffer holds all of it
+//! ([`crate::http::parse`]), and buffers non-blocking writes.
 //! When a pass over its connections moves no bytes, the shard blocks in
 //! `poll(2)` until a socket is ready: each connection for reading, or
 //! for writing while a response is pending, plus a per-shard wake
 //! socket the accept thread writes one byte to after each hand-off and
 //! at stop. The wait ends no later than the earliest connection
-//! deadline (`last_activity` plus the idle or write-stall timeout), so
-//! timeouts fire on time and an idle shard makes no timer wake-ups.
+//! deadline (`last_activity` plus the connection timeout, which bounds
+//! idle and write-stalled connections alike), so timeouts fire on time
+//! and an idle shard makes no timer wake-ups.
 //! Session state is sharded the same way ([`crate::registry`]), so two
 //! requests against different sessions contend on nothing. A shard
 //! thread runs its requests' tuner work (GP fit, hyperopt, acquisition)
@@ -45,7 +47,8 @@
 //! ([`crate::quota`]) and over-rate tenants get 429 with a computed
 //! `Retry-After`. Shutdown enters *drain* mode: in-flight requests
 //! finish, while new connections — and new requests on live keep-alive
-//! connections — get `503` + `Retry-After` until the grace period ends.
+//! connections — get `503` + `Retry-After` until every shard has let go
+//! of its connections or the 5 s grace period runs out.
 //!
 //! # Resilience
 //!
@@ -54,15 +57,13 @@
 //! connection — never an IO shard, and never the server.
 
 use crate::api::DEFAULT_TENANT;
-use crate::http::{
-    frame_len, read_request, write_response_with_retry, ReadError, ReadLimits, Request,
-};
+use crate::http::{self, HttpError, ReadLimits, Request, RequestLine};
 use crate::json::{obj, parse, Json};
 use crate::poll::{PollFd, POLLIN, POLLOUT};
 use crate::quota::TenantQuotas;
 use crate::registry::{lock_recover, RegistryConfig, ServeError, SessionRegistry};
 use mlconf_util::optim::set_threads;
-use std::io::{BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
@@ -76,6 +77,9 @@ use std::time::{Duration, Instant};
 /// (503) responses. Quota 429s compute their own from the refill rate.
 const RETRY_AFTER_SECS: u64 = 1;
 
+/// How long shutdown keeps answering 503 while shards drain.
+const DRAIN_GRACE: Duration = Duration::from_secs(5);
+
 /// Server tunables.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -84,12 +88,9 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Directory for per-session journals (sharded beneath it).
     pub journal_dir: PathBuf,
-    /// How long a connection may sit idle (no request bytes) before it
-    /// is closed.
-    pub read_timeout: Duration,
-    /// How long a response write may stall before the connection is
-    /// dropped.
-    pub write_timeout: Duration,
+    /// How long a connection may sit idle (no request bytes) or stall
+    /// a response write before it is closed.
+    pub timeout: Duration,
     /// Request head/body size limits.
     pub limits: ReadLimits,
     /// Requests served per connection before it is closed (bounds how
@@ -102,8 +103,6 @@ pub struct ServeConfig {
     /// Checkpoint each session every N journaled operations (see
     /// [`crate::snapshot`]); 0 disables snapshots.
     pub snapshot_every: u64,
-    /// How long shutdown keeps answering 503 while shards drain.
-    pub drain_grace: Duration,
     /// Live in-memory session bound; 0 means unbounded. Idle sessions
     /// over the bound are evicted to disk and revived on next touch.
     pub max_sessions: usize,
@@ -119,13 +118,11 @@ impl ServeConfig {
         ServeConfig {
             shards: 4,
             journal_dir,
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
+            timeout: Duration::from_secs(10),
             limits: ReadLimits::default(),
             max_requests_per_conn: 1000,
             queue_depth: 64,
             snapshot_every: 0,
-            drain_grace: Duration::from_secs(5),
             max_sessions: 0,
             tenant_rps: 0.0,
             tenant_burst: 0.0,
@@ -352,7 +349,9 @@ fn accept_loop(listener: &TcpListener, ctx: &Ctx) {
 fn shed(mut stream: TcpStream, status: u16, message: &str) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
     let body = obj([("error", Json::Str(message.to_owned()))]).render();
-    let _ = write_response_with_retry(&mut stream, status, &body, true, Some(RETRY_AFTER_SECS));
+    let mut out = Vec::new();
+    http::write_response(&mut out, status, &body, true, Some(RETRY_AFTER_SECS));
+    let _ = stream.write_all(&out);
 }
 
 /// Drain mode: keep answering new connections with 503 + `Retry-After`
@@ -360,7 +359,7 @@ fn shed(mut stream: TcpStream, status: u16, message: &str) {
 /// requests answered, idle connections timed out), or the grace period
 /// runs out.
 fn drain(listener: &TcpListener, ctx: &Ctx) {
-    let deadline = Instant::now() + ctx.config.drain_grace;
+    let deadline = Instant::now() + DRAIN_GRACE;
     if listener.set_nonblocking(true).is_err() {
         return;
     }
@@ -384,7 +383,7 @@ fn drain(listener: &TcpListener, ctx: &Ctx) {
 }
 
 /// One IO shard: adopts handed-off connections, then loops pumping each
-/// one (read → frame → handle → write) without ever blocking on a
+/// one (read → parse → handle → write) without ever blocking on a
 /// single socket, so a slow peer can't stall its neighbors. A pass that
 /// moves nothing ends in [`wait_for_readiness`].
 fn shard_loop(k: usize, ctx: &Ctx) {
@@ -499,16 +498,12 @@ impl Conn {
     }
 
     /// What the connection waits for, and until when: the rest of a
-    /// pending response within the write-stall timeout, otherwise
-    /// request bytes within the idle timeout (`None` when the deadline
-    /// is unrepresentable, i.e. effectively never).
+    /// pending response, otherwise request bytes, either within the
+    /// connection timeout (`None` when the deadline is unrepresentable,
+    /// i.e. effectively never).
     fn interest(&self, config: &ServeConfig) -> (i16, Option<Instant>) {
-        let (events, timeout) = if self.out.is_empty() {
-            (POLLIN, config.read_timeout)
-        } else {
-            (POLLOUT, config.write_timeout)
-        };
-        (events, self.last_activity.checked_add(timeout))
+        let events = if self.out.is_empty() { POLLIN } else { POLLOUT };
+        (events, self.last_activity.checked_add(config.timeout))
     }
 
     /// One non-blocking pass: flush pending writes, read what's
@@ -519,7 +514,7 @@ impl Conn {
             match self.flush() {
                 Flush::Drop => return Pump::Drop,
                 Flush::Blocked => {
-                    if now.duration_since(self.last_activity) > ctx.config.write_timeout {
+                    if now.duration_since(self.last_activity) > ctx.config.timeout {
                         return Pump::Drop;
                     }
                     return Pump::Idle;
@@ -556,11 +551,11 @@ impl Conn {
         }
 
         if self.out.is_empty() && !self.buf.is_empty() {
-            match frame_len(&self.buf, &ctx.config.limits) {
+            match http::parse::<RequestLine>(&self.buf, &ctx.config.limits) {
                 Ok(None) => {}
-                Ok(Some(n)) => {
-                    let frame: Vec<u8> = self.buf.drain(..n).collect();
-                    if !self.respond_to_frame(&frame, ctx, draining) {
+                Ok(Some((request, used))) => {
+                    self.buf.drain(..used);
+                    if !self.respond(&request, ctx, draining) {
                         return Pump::Drop;
                     }
                     progressed = true;
@@ -575,9 +570,9 @@ impl Conn {
                     }
                     self.last_activity = now;
                 }
-                Err(ReadError::Bad { status, message }) => {
+                Err(HttpError { status, message }) => {
                     self.buf.clear();
-                    self.queue_error(status, message);
+                    self.queue_error(status, &message);
                     if let Flush::Drop = self.flush() {
                         return Pump::Drop;
                     }
@@ -586,33 +581,21 @@ impl Conn {
                     }
                     progressed = true;
                 }
-                Err(_) => return Pump::Drop,
             }
         }
 
         if progressed {
             Pump::Progress
-        } else if now.duration_since(self.last_activity) > ctx.config.read_timeout {
+        } else if now.duration_since(self.last_activity) > ctx.config.timeout {
             Pump::Drop
         } else {
             Pump::Idle
         }
     }
 
-    /// Parses one complete frame and queues its response. Returns
-    /// `false` when the connection should be dropped instead (handler
-    /// panic, unreadable frame).
-    fn respond_to_frame(&mut self, frame: &[u8], ctx: &Ctx, draining: bool) -> bool {
-        let request = match read_request(&mut BufReader::new(frame), &ctx.config.limits) {
-            Ok(r) => r,
-            Err(ReadError::Bad { status, message }) => {
-                self.queue_error(status, message);
-                return true;
-            }
-            // frame_len guaranteed a complete head + body, so neither
-            // Closed nor Io should be reachable; drop defensively.
-            Err(_) => return false,
-        };
+    /// Queues the response to one parsed request. Returns `false` when
+    /// the connection should be dropped instead (handler panic).
+    fn respond(&mut self, request: &Request, ctx: &Ctx, draining: bool) -> bool {
         // Requests arriving on a live keep-alive connection after
         // shutdown began are "new work": refuse them so drain converges.
         if draining {
@@ -626,7 +609,7 @@ impl Conn {
         // server) down with it: contain it, drop its connection, keep
         // serving the rest.
         let handled =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route(&request, ctx)));
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route(request, ctx)));
         let (status, body, retry_after) = match handled {
             Err(_) => {
                 eprintln!(
@@ -654,8 +637,7 @@ impl Conn {
     /// Queues one rendered response for (non-blocking) writing.
     fn queue(&mut self, status: u16, body: &str, close: bool, retry_after: Option<u64>) {
         let mut bytes = Vec::with_capacity(body.len() + 128);
-        // Writing into a Vec cannot fail.
-        let _ = write_response_with_retry(&mut bytes, status, body, close, retry_after);
+        http::write_response(&mut bytes, status, body, close, retry_after);
         self.out = bytes;
         self.out_pos = 0;
         self.close_after_write = close;
@@ -755,8 +737,13 @@ fn admit(quotas: &TenantQuotas, tenant: &str) -> Result<(), ServeError> {
 /// free its sessions).
 fn route(request: &Request, ctx: &Ctx) -> Result<(u16, Json), ServeError> {
     let registry = &ctx.registry;
-    let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (request.method.as_str(), segments.as_slice()) {
+    let segments: Vec<&str> = request
+        .start
+        .path
+        .split('/')
+        .filter(|s| !s.is_empty())
+        .collect();
+    match (request.start.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => Ok(healthz(ctx)),
         ("POST", ["sessions"]) => {
             let body = parse_body(request)?;
@@ -809,12 +796,12 @@ fn route(request: &Request, ctx: &Ctx) -> Result<(u16, Json), ServeError> {
         }
         (_, ["healthz" | "sessions", ..]) => Err(ServeError {
             status: 405,
-            message: format!("method {} not allowed here", request.method),
+            message: format!("method {} not allowed here", request.start.method),
             retry_after: None,
         }),
         _ => Err(ServeError::not_found(format!(
             "no route for {}",
-            request.path
+            request.start.path
         ))),
     }
 }

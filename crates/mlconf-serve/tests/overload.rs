@@ -34,7 +34,7 @@ fn saturated_queue_sheds_with_429_and_retry_after() {
     config.shards = 1;
     config.queue_depth = 1; // the one IO shard holds 2 connections
                             // Idle connections free their slots quickly.
-    config.read_timeout = Duration::from_millis(300);
+    config.timeout = Duration::from_millis(300);
     let server = Server::bind("127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
 
@@ -84,8 +84,7 @@ fn drain_mode_answers_new_connections_with_503() {
     let dir = tmpdir("drain");
     let mut config = ServeConfig::new(dir.clone());
     config.shards = 1;
-    config.read_timeout = Duration::from_secs(1);
-    config.drain_grace = Duration::from_secs(5);
+    config.timeout = Duration::from_secs(1);
     let server = Server::bind("127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
     let handle = server.handle();
@@ -117,7 +116,7 @@ fn idle_connection_is_closed_at_its_read_timeout() {
     let dir = tmpdir("idle_deadline");
     let mut config = ServeConfig::new(dir.clone());
     config.shards = 1;
-    config.read_timeout = Duration::from_millis(200);
+    config.timeout = Duration::from_millis(200);
     let server = Server::bind("127.0.0.1:0", config).unwrap();
 
     // A connection that never sends: the shard has nothing to read, so
