@@ -37,7 +37,7 @@ const GOLDEN: &[&[&str]] = &[
     &[
         "logreg-criteo",
         "37s",
-        "1.68",
+        "1.65",
         "6.17",
         "2.89",
         "2.62",
@@ -49,7 +49,7 @@ const GOLDEN: &[&[&str]] = &[
     &[
         "mlp-mnist",
         "24s",
-        "1.49",
+        "1.59",
         "1.98",
         "4.49",
         "2.18",

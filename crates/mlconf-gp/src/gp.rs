@@ -228,12 +228,13 @@ impl GaussianProcess {
 
     /// Appends observations to a fitted GP without refactorizing.
     ///
-    /// The Cholesky factor is extended one row at a time in O(n²) via
-    /// [`Cholesky::update_append`]; target standardization, `alpha`, and
-    /// the log marginal likelihood are recomputed over the full data
-    /// exactly as [`GaussianProcess::fit`] would, so with unchanged
-    /// hyperparameters the result matches a fresh fit (bit-identically
-    /// when no jitter is involved). Falls back to a full refit when an
+    /// The Cholesky factor is extended in O(n²) per row, into one
+    /// allocation sized for every appended row ([`Cholesky::append`]);
+    /// target standardization, `alpha`, and the log marginal
+    /// likelihood are recomputed over the full data exactly as
+    /// [`GaussianProcess::fit`] would, so with unchanged hyperparameters
+    /// the result matches a fresh fit (bit-identically when no jitter
+    /// is involved). Falls back to a full refit when an
     /// appended point makes the factor update numerically non-positive
     /// (e.g. a near-duplicate configuration).
     ///
@@ -268,28 +269,24 @@ impl GaussianProcess {
             return Ok(self.clone());
         }
 
-        let mut x = self.x.clone();
-        let mut chol = self.chol.clone();
-        let mut incremental_ok = true;
-        for xi in x_new {
-            // Covariances against every point currently in the factor,
+        let appended = self.chol.append(x_new.len(), |i, col| {
+            // Covariances against every point already in the factor,
             // including earlier appends from this same call.
-            let col: Vec<f64> = x.iter().map(|xp| self.kernel.eval(xp, xi)).collect();
-            let diag = self.kernel.eval(xi, xi) + self.noise_variance + self.jitter;
-            if chol.update_append(&col, diag).is_err() {
-                incremental_ok = false;
-                break;
+            let xi = &x_new[i];
+            for (c, xp) in col.iter_mut().zip(self.x.iter().chain(&x_new[..i])) {
+                *c = self.kernel.eval(xp, xi);
             }
-            x.push(xi.clone());
-        }
-
-        let mut y = self.y.clone();
+            self.kernel.eval(xi, xi) + self.noise_variance + self.jitter
+        });
+        let mut x = Vec::with_capacity(self.x.len() + x_new.len());
+        x.extend_from_slice(&self.x);
+        x.extend_from_slice(x_new);
+        let mut y = Vec::with_capacity(x.len());
+        y.extend_from_slice(&self.y);
         y.extend_from_slice(y_new);
-        if !incremental_ok {
-            let mut x_full = self.x.clone();
-            x_full.extend(x_new.iter().cloned());
-            return GaussianProcess::fit(self.kernel.clone(), x_full, y, self.noise_variance);
-        }
+        let Ok(chol) = appended else {
+            return GaussianProcess::fit(self.kernel.clone(), x, y, self.noise_variance);
+        };
 
         // Restandardize and solve against the extended factor, mirroring
         // `fit` step for step.

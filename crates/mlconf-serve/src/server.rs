@@ -7,7 +7,9 @@
 //! shard). Each shard thread multiplexes its connections with
 //! non-blocking reads into a per-connection buffer, parses each request
 //! once, in place, as soon as the buffer holds all of it
-//! ([`crate::http::parse`]), and buffers non-blocking writes.
+//! ([`crate::http::parse`]), and buffers non-blocking writes. It reads
+//! a connection only while the buffer lacks a whole request, and ends
+//! a connection by half-closing it after the last response.
 //! When a pass over its connections moves no bytes, the shard blocks in
 //! `poll(2)` until a socket is ready: each connection for reading, or
 //! for writing while a response is pending, plus a per-shard wake
@@ -64,7 +66,7 @@ use crate::quota::TenantQuotas;
 use crate::registry::{lock_recover, RegistryConfig, ServeError, SessionRegistry};
 use mlconf_util::optim::set_threads;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -76,6 +78,14 @@ use std::time::{Duration, Instant};
 /// `Retry-After` value (seconds) sent on shed (429 capacity) and drain
 /// (503) responses. Quota 429s compute their own from the refill rate.
 const RETRY_AFTER_SECS: u64 = 1;
+
+/// Bytes an IO shard reads from a connection at a time.
+const READ_CHUNK: usize = 8192;
+
+/// Reads a lingering connection gets per pass: one pass stays bounded,
+/// so a peer that keeps sending cannot starve the shard's other
+/// connections.
+const LINGER_READS: usize = 16;
 
 /// How long shutdown keeps answering 503 while shards drain.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
@@ -476,12 +486,17 @@ enum Flush {
 /// response bytes, and keep-alive bookkeeping.
 struct Conn {
     stream: TcpStream,
+    /// Bytes read; `buf[used..]` are not yet parsed into a request.
     buf: Vec<u8>,
+    used: usize,
     out: Vec<u8>,
     out_pos: usize,
     served: usize,
     last_activity: Instant,
     close_after_write: bool,
+    /// The last response is out and the write half is shut: the
+    /// connection only discards what the peer still sends.
+    lingering: bool,
 }
 
 impl Conn {
@@ -489,11 +504,13 @@ impl Conn {
         Conn {
             stream,
             buf: Vec::new(),
+            used: 0,
             out: Vec::new(),
             out_pos: 0,
             served: 0,
             last_activity: Instant::now(),
             close_after_write: false,
+            lingering: false,
         }
     }
 
@@ -506,10 +523,18 @@ impl Conn {
         (events, self.last_activity.checked_add(config.timeout))
     }
 
-    /// One non-blocking pass: flush pending writes, read what's
-    /// available, serve at most one complete request, enforce idle and
-    /// write-stall timeouts.
+    /// One non-blocking pass: flush pending writes, serve at most one
+    /// complete request, enforce idle and write-stall timeouts.
+    ///
+    /// A request already buffered (pipelined behind the last one) is
+    /// served before anything more is read, and the socket is read one
+    /// 8 KB chunk at a time only while the buffer lacks a whole request.
+    /// So the buffer holds at most one request plus one read, and each
+    /// request costs the shard only its own bytes.
     fn pump(&mut self, ctx: &Ctx, draining: bool, now: Instant) -> Pump {
+        if self.lingering {
+            return self.linger(ctx, now);
+        }
         if !self.out.is_empty() {
             match self.flush() {
                 Flush::Drop => return Pump::Drop,
@@ -525,62 +550,63 @@ impl Conn {
                         return Pump::Progress;
                     }
                     if self.close_after_write {
-                        return Pump::Drop;
+                        return self.half_close();
                     }
                 }
             }
         }
 
         let mut progressed = false;
-        let mut chunk = [0u8; 8192];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Pump::Drop,
-                Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
+        let mut socket_drained = false;
+        let parsed = loop {
+            let parsed = http::parse::<RequestLine>(&self.buf[self.used..], &ctx.config.limits);
+            if !matches!(parsed, Ok(None)) || socket_drained {
+                break parsed;
+            }
+            // Incomplete: keep only the partial request, then read on.
+            self.buf.drain(..self.used);
+            self.used = 0;
+            match self.read_more() {
+                None => return Pump::Drop,
+                Some(0) => break Ok(None),
+                Some(n) => {
                     self.last_activity = now;
                     progressed = true;
-                    if n < chunk.len() {
-                        break;
-                    }
+                    socket_drained = n < READ_CHUNK;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return Pump::Drop,
             }
-        }
+        };
 
-        if self.out.is_empty() && !self.buf.is_empty() {
-            match http::parse::<RequestLine>(&self.buf, &ctx.config.limits) {
-                Ok(None) => {}
-                Ok(Some((request, used))) => {
-                    self.buf.drain(..used);
-                    if !self.respond(&request, ctx, draining) {
-                        return Pump::Drop;
-                    }
-                    progressed = true;
-                    match self.flush() {
-                        Flush::Drop => return Pump::Drop,
-                        Flush::Blocked => {}
-                        Flush::Progress => {
-                            if self.out.is_empty() && self.close_after_write {
-                                return Pump::Drop;
-                            }
+        match parsed {
+            Ok(None) => {}
+            Ok(Some((request, used))) => {
+                self.used += used;
+                if !self.respond(&request, ctx, draining) {
+                    return Pump::Drop;
+                }
+                progressed = true;
+                match self.flush() {
+                    Flush::Drop => return Pump::Drop,
+                    Flush::Blocked => {}
+                    Flush::Progress => {
+                        if self.out.is_empty() && self.close_after_write {
+                            return self.half_close();
                         }
                     }
-                    self.last_activity = now;
                 }
-                Err(HttpError { status, message }) => {
-                    self.buf.clear();
-                    self.queue_error(status, &message);
-                    if let Flush::Drop = self.flush() {
-                        return Pump::Drop;
-                    }
-                    if self.out.is_empty() {
-                        return Pump::Drop;
-                    }
-                    progressed = true;
+                self.last_activity = now;
+            }
+            Err(HttpError { status, message }) => {
+                self.buf.clear();
+                self.used = 0;
+                self.queue_error(status, &message);
+                if let Flush::Drop = self.flush() {
+                    return Pump::Drop;
                 }
+                if self.out.is_empty() {
+                    return self.half_close();
+                }
+                progressed = true;
             }
         }
 
@@ -591,6 +617,54 @@ impl Conn {
         } else {
             Pump::Idle
         }
+    }
+
+    /// Reads at most one [`READ_CHUNK`] of what the socket has ready onto
+    /// the end of `buf`: the byte count, `Some(0)` when nothing is
+    /// ready, `None` at end of stream or on a read error.
+    fn read_more(&mut self) -> Option<usize> {
+        let start = self.buf.len();
+        self.buf.resize(start + READ_CHUNK, 0);
+        let got = loop {
+            match self.stream.read(&mut self.buf[start..]) {
+                Ok(0) => break None,
+                Ok(n) => break Some(n),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break Some(0),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => break None,
+            }
+        };
+        self.buf.truncate(start + got.unwrap_or(0));
+        got
+    }
+
+    /// Shuts the write half once the last response is out, then lingers
+    /// ([`Conn::linger`]). Closing outright while the peer's pipelined
+    /// bytes sit unread makes the kernel answer with a reset, which can
+    /// destroy responses the peer has not read yet.
+    fn half_close(&mut self) -> Pump {
+        let _ = self.stream.shutdown(Shutdown::Write);
+        self.buf.clear();
+        self.used = 0;
+        self.lingering = true;
+        Pump::Progress
+    }
+
+    /// Discards what a half-closed connection's peer still sends, up to
+    /// [`LINGER_READS`] reads a pass, until the peer closes or the
+    /// connection timeout passes since the last response went out.
+    fn linger(&mut self, ctx: &Ctx, now: Instant) -> Pump {
+        if now.duration_since(self.last_activity) > ctx.config.timeout {
+            return Pump::Drop;
+        }
+        for _ in 0..LINGER_READS {
+            match self.read_more() {
+                None => return Pump::Drop,
+                Some(0) => return Pump::Idle,
+                Some(_) => self.buf.clear(),
+            }
+        }
+        Pump::Progress
     }
 
     /// Queues the response to one parsed request. Returns `false` when
@@ -961,6 +1035,106 @@ mod tests {
         let other = spec.replace("team-a", "team-b");
         let (status, body) = http(&addr, "POST", "/sessions", Some(&other)).unwrap();
         assert_eq!(status, 201, "{body}");
+        drop(server);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writes `n` pipelined requests in one `write_all` into a connection
+    /// of our own, pumped by hand with `server`'s context so its buffer
+    /// can be checked after every pass. Returns each answer's status and
+    /// body, in order, read until `n` answers or the end of the stream,
+    /// and the largest buffer seen.
+    fn pump_pipeline(server: &Server, n: usize) -> (Vec<(u16, String)>, usize) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(stream);
+
+        // Each request names an unknown session, so each 404 names it.
+        let pipeline: String = (0..n).map(pipelined_request).collect();
+        let mut writer = client.try_clone().unwrap();
+        // Past a close the rest of the pipeline cannot be written.
+        let writer = std::thread::spawn(move || writer.write_all(pipeline.as_bytes()).is_ok());
+        let mut reader = client;
+        let reader = std::thread::spawn(move || {
+            let mut buf = Vec::new();
+            let mut chunk = [0u8; 4096];
+            let mut answers = Vec::new();
+            while answers.len() < n {
+                // A reset here is the failure under test: let it panic.
+                let got = reader.read(&mut chunk).unwrap();
+                if got == 0 {
+                    break;
+                }
+                buf.extend_from_slice(&chunk[..got]);
+                while let Some((response, used)) =
+                    crate::http::parse::<crate::http::StatusLine>(&buf, &ReadLimits::default())
+                        .unwrap()
+                {
+                    answers.push((response.start.status, response.body));
+                    buf.drain(..used);
+                }
+            }
+            answers
+        });
+
+        let mut largest = 0;
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !reader.is_finished() {
+            assert!(Instant::now() < deadline, "pipeline stalled");
+            match conn.pump(&server.ctx, false, Instant::now()) {
+                Pump::Progress => {}
+                Pump::Idle => std::thread::sleep(Duration::from_micros(200)),
+                Pump::Drop => break,
+            }
+            largest = largest.max(conn.buf.len());
+        }
+        drop(conn);
+        writer.join().unwrap();
+        (reader.join().unwrap(), largest)
+    }
+
+    fn pipelined_request(i: usize) -> String {
+        format!("GET /sessions/s{i:04} HTTP/1.1\r\nhost: t\r\n\r\n")
+    }
+
+    fn assert_answers_in_order(answers: &[(u16, String)]) {
+        for (i, (status, body)) in answers.iter().enumerate() {
+            assert_eq!(*status, 404, "{body}");
+            assert!(body.contains(&format!("`s{i:04}`")), "answer {i}: {body}");
+        }
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order_from_a_bounded_buffer() {
+        let (server, _addr, dir) = start("pipeline");
+        let n = 900;
+        assert!(n * pipelined_request(0).len() > 4 * READ_CHUNK);
+        let (answers, largest) = pump_pipeline(&server, n);
+        assert_eq!(answers.len(), n);
+        assert_answers_in_order(&answers);
+        assert!(
+            largest <= pipelined_request(0).len() + READ_CHUNK,
+            "buffer grew to {largest} bytes"
+        );
+        drop(server);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_connection_closed_under_unread_requests_still_delivers_its_answers() {
+        // Past the per-connection cap the server closes with most of the
+        // pipeline unread; the allowed answers must still all arrive,
+        // followed by a clean end of stream rather than a reset.
+        let dir = std::env::temp_dir().join(format!("mlconf_server_cap_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut config = ServeConfig::new(dir.clone());
+        config.max_requests_per_conn = 50;
+        let server = Server::bind("127.0.0.1:0", config).unwrap();
+        let (answers, _) = pump_pipeline(&server, 2000);
+        assert_eq!(answers.len(), 50);
+        assert_answers_in_order(&answers);
         drop(server);
         std::fs::remove_dir_all(&dir).ok();
     }

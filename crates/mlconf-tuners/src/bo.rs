@@ -8,7 +8,8 @@
 //!    encoding, fit to `log₁₀(objective)` (systems objectives span
 //!    decades; the log transform makes the GP's Gaussian noise model
 //!    honest). Kernel hyperparameters are re-optimized by marginal
-//!    likelihood every third trial.
+//!    likelihood every third trial, from 4 random Nelder–Mead restarts
+//!    of up to 75 likelihood evaluations each.
 //! 3. **Failures as penalties** — OOM/unmappable trials carry real
 //!    information (the cliffs are exactly what the tuner must avoid);
 //!    they enter the GP with a penalized target above the worst observed
@@ -115,6 +116,14 @@ pub const CENSORED_INFLATION: f64 = 1.5;
 
 /// Kernel hyperparameters are re-optimized every this many trials.
 const HYPEROPT_EVERY: usize = 3;
+
+/// Likelihood evaluations per hyperopt restart: half the one-shot
+/// default ([`HyperoptOptions::default`]), since the next hyperopt is
+/// only [`HYPEROPT_EVERY`] trials away. Fewer restarts or warm starts
+/// cost regret; this budget kept it within the reseed-only spread at
+/// budgets 40 and 60, but costs about 3% at budget 30 (EXPERIMENTS.md,
+/// "Hyperopt budget").
+const HYPEROPT_EVALS: usize = 75;
 
 /// Acquisition candidate-set size per suggest.
 pub const CANDIDATES: usize = 256;
@@ -271,9 +280,13 @@ impl BoTuner {
     }
 
     /// The noise variance for refits between hyperopts, and the hyperopt
-    /// options: the defaults, or with a prior the [`PRIOR_NOISE`] range.
+    /// options: the defaults at [`HYPEROPT_EVALS`] per restart, with a
+    /// prior also the [`PRIOR_NOISE`] range.
     fn noise_model(&self) -> (f64, HyperoptOptions) {
-        let defaults = HyperoptOptions::default();
+        let defaults = HyperoptOptions {
+            max_evals_per_restart: HYPEROPT_EVALS,
+            ..HyperoptOptions::default()
+        };
         if self.prior.is_empty() {
             return (1e-4, defaults);
         }

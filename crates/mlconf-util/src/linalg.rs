@@ -285,52 +285,61 @@ impl Cholesky {
         solve_lower_batch(&self.l, b)
     }
 
-    /// Extends the factorization to cover one appended row/column of the
-    /// underlying matrix in O(n²), instead of O(n³) for refactorizing.
+    /// Extends the factorization to cover `extra` appended rows/columns
+    /// of the underlying matrix in O(n²) each, instead of O(n³) for
+    /// refactorizing. The grown factor is allocated once, at its final
+    /// size, and this factor's rows are copied into it.
     ///
-    /// `col` holds the off-diagonal entries `A[n][0..n]` of the appended
-    /// row and `diag` the new diagonal entry `A[n][n]`. The new row of `L`
-    /// follows by forward substitution (`L l_new = col`) with the same
-    /// accumulation order as [`Cholesky::factor`], so the updated factor
-    /// is bit-identical to refactorizing the extended matrix.
+    /// `entries(i, col)` fills `col` (`dim() + i` long) with the
+    /// off-diagonal entries `A[r][0..r]` of appended row `r = dim() + i`
+    /// and returns its diagonal entry `A[r][r]`. Each new row of `L`
+    /// follows by forward substitution (`L l_r = col`) with the same
+    /// accumulation order as [`Cholesky::factor`], so the result is
+    /// bit-identical to refactorizing the extended matrix.
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `col.len() != self.dim()`
-    /// and [`LinalgError::NotPositiveDefinite`] when the new pivot is not
-    /// positive; the factorization is left unchanged on error.
-    pub fn update_append(&mut self, col: &[f64], diag: f64) -> Result<(), LinalgError> {
+    /// Returns [`LinalgError::NotPositiveDefinite`] at the first
+    /// appended pivot that is not positive (`entries` is not called
+    /// again after it).
+    pub fn append(
+        &self,
+        extra: usize,
+        mut entries: impl FnMut(usize, &mut [f64]) -> f64,
+    ) -> Result<Cholesky, LinalgError> {
         let n = self.dim();
-        if col.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                detail: format!("update_append col has {} entries, dim is {n}", col.len()),
-            });
+        let m = n + extra;
+        let mut l = Matrix::zeros(m, m);
+        for i in 0..n {
+            l.row_mut(i)[..n].copy_from_slice(self.l.row(i));
         }
-        // New row of L by forward substitution. Entry j receives the
-        // subtractions `factor` gives entry (n, j), in the same ascending
-        // order: row[k] plays the role of l[(n, k)].
-        let mut row = vec![0.0; n];
-        for j in 0..n {
-            let mut sum = col[j];
-            for (k, rk) in row.iter().enumerate().take(j) {
-                sum -= rk * self.l[(j, k)];
+        for r in n..m {
+            let (done, rest) = l.split_rows_at_mut(r);
+            let row = &mut rest[..r];
+            let diag = entries(r - n, row);
+            // Entry j receives the subtractions `factor` gives entry
+            // (r, j), in the same ascending order.
+            for j in 0..r {
+                let lj = &done[j * m..j * m + j + 1];
+                let mut sum = row[j];
+                for (rk, ljk) in row[..j].iter().zip(lj) {
+                    sum -= rk * ljk;
+                }
+                row[j] = sum / lj[j];
             }
-            row[j] = sum / self.l[(j, j)];
+            let mut pivot = diag;
+            for rk in row.iter() {
+                pivot -= rk * rk;
+            }
+            if pivot <= 0.0 || !pivot.is_finite() {
+                return Err(LinalgError::NotPositiveDefinite {
+                    pivot: r,
+                    value: pivot,
+                });
+            }
+            rest[r] = pivot.sqrt();
         }
-        let mut pivot = diag;
-        for rk in &row {
-            pivot -= rk * rk;
-        }
-        if pivot <= 0.0 || !pivot.is_finite() {
-            return Err(LinalgError::NotPositiveDefinite {
-                pivot: n,
-                value: pivot,
-            });
-        }
-        self.l.grow_square(1);
-        self.l.row_mut(n)[..n].copy_from_slice(&row);
-        self.l[(n, n)] = pivot.sqrt();
-        Ok(())
+        Ok(Cholesky { l })
     }
 
     /// Log-determinant of `A`, i.e. `2 Σ ln L[i][i]`.
@@ -542,48 +551,69 @@ mod tests {
         assert!(least_squares(&x, &[1.0, 2.0], 0.0).is_err());
     }
 
+    /// Appends rows `from..to` of `a` to `chol` in one call.
+    pub(super) fn append_rows(chol: &Cholesky, a: &Matrix, from: usize, to: usize) -> Cholesky {
+        chol.append(to - from, |i, col| {
+            let r = from + i;
+            for (j, c) in col.iter_mut().enumerate() {
+                *c = a[(r, j)];
+            }
+            a[(r, r)]
+        })
+        .unwrap()
+    }
+
     #[test]
-    fn update_append_matches_full_factor_exactly() {
+    fn append_matches_full_factor_exactly() {
         let a = spd_matrix(8, 11);
         // Factor the leading 5x5 block, then append rows 5, 6, 7 one at a
-        // time; the result must be bit-identical to factoring all of A.
+        // time and all at once; both must be bit-identical to factoring
+        // all of A.
         let lead = Matrix::from_fn(5, 5, |i, j| a[(i, j)]);
-        let mut chol = Cholesky::factor(&lead).unwrap();
+        let lead = Cholesky::factor(&lead).unwrap();
+        let mut one_by_one = lead.clone();
         for m in 5..8 {
-            let col: Vec<f64> = (0..m).map(|j| a[(m, j)]).collect();
-            chol.update_append(&col, a[(m, m)]).unwrap();
+            one_by_one = append_rows(&one_by_one, &a, m, m + 1);
         }
         let full = Cholesky::factor(&a).unwrap();
-        assert_eq!(chol.l(), full.l(), "incremental factor must match exactly");
+        assert_eq!(
+            one_by_one.l(),
+            full.l(),
+            "incremental factor must match exactly"
+        );
+        assert_eq!(append_rows(&lead, &a, 5, 8).l(), full.l());
     }
 
     #[test]
-    fn update_append_from_empty_builds_scalar_factor() {
-        let mut chol = Cholesky::factor(&Matrix::zeros(0, 0)).unwrap();
-        chol.update_append(&[], 9.0).unwrap();
+    fn append_from_empty_builds_scalar_factor() {
+        let chol = Cholesky::factor(&Matrix::zeros(0, 0)).unwrap();
+        let chol = chol.append(1, |_, _| 9.0).unwrap();
         assert_eq!(chol.dim(), 1);
         assert_eq!(chol.l()[(0, 0)], 3.0);
+        assert_eq!(chol.append(0, |_, _| unreachable!()).unwrap(), chol);
     }
 
     #[test]
-    fn update_append_rejects_bad_shapes_and_non_pd() {
+    fn append_rejects_non_pd_at_the_failing_row() {
         let a = spd_matrix(4, 5);
-        let mut chol = Cholesky::factor(&a).unwrap();
-        let before = chol.clone();
-        assert!(matches!(
-            chol.update_append(&[1.0], 1.0),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-        // A non-positive appended diagonal cannot yield a positive pivot.
-        let col = vec![0.0; 4];
-        match chol.update_append(&col, 0.0) {
-            Err(LinalgError::NotPositiveDefinite { pivot, .. }) => assert_eq!(pivot, 4),
+        let chol = Cholesky::factor(&a).unwrap();
+        // A non-positive appended diagonal cannot yield a positive pivot;
+        // the rows after it are never asked for.
+        let mut asked = Vec::new();
+        let result = chol.append(3, |i, col| {
+            asked.push((i, col.len()));
+            col.fill(0.0);
+            if i == 1 {
+                0.0
+            } else {
+                1.0
+            }
+        });
+        match result {
+            Err(LinalgError::NotPositiveDefinite { pivot, .. }) => assert_eq!(pivot, 5),
             other => panic!("expected NotPositiveDefinite, got {other:?}"),
         }
-        assert_eq!(
-            chol, before,
-            "failed update must leave the factor unchanged"
-        );
+        assert_eq!(asked, [(0, 4), (1, 5)]);
     }
 
     #[test]
@@ -661,13 +691,15 @@ mod proptests {
             let split = split.min(n - 1);
             let a = spd_from_entries(n, raw);
             let lead = Matrix::from_fn(split, split, |i, j| a[(i, j)]);
-            let mut chol = Cholesky::factor(&lead).unwrap();
+            let lead = Cholesky::factor(&lead).unwrap();
+            let mut chol = lead.clone();
             for m in split..n {
-                let col: Vec<f64> = (0..m).map(|j| a[(m, j)]).collect();
-                chol.update_append(&col, a[(m, m)]).unwrap();
+                chol = super::tests::append_rows(&chol, &a, m, m + 1);
             }
             let full = Cholesky::factor(&a).unwrap();
             prop_assert_eq!(chol.l(), full.l());
+            let at_once = super::tests::append_rows(&lead, &a, split, n);
+            prop_assert_eq!(at_once.l(), full.l());
         }
 
         #[test]

@@ -194,41 +194,6 @@ impl Matrix {
         self.data.split_at_mut(r * self.cols)
     }
 
-    /// Grows a square matrix by `extra` rows and columns in place,
-    /// preserving existing entries and zero-filling the new border.
-    ///
-    /// Used by the incremental Cholesky update to append rows to `L`
-    /// without refactorizing. Grows the storage exactly, with no
-    /// amortized slack: a grown factor is typically kept long-term (a BO
-    /// tuner caches its GP between suggests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn grow_square(&mut self, extra: usize) {
-        assert!(self.is_square(), "grow_square on non-square matrix");
-        if extra == 0 {
-            return;
-        }
-        let n = self.rows;
-        let m = n + extra;
-        self.data.reserve_exact(m * m - self.data.len());
-        self.data.resize(m * m, 0.0);
-        // Shift rows into their new positions back to front so the source
-        // region is never overwritten before it is read, then zero the gap
-        // each row leaves behind.
-        for i in (1..n).rev() {
-            self.data.copy_within(i * n..(i + 1) * n, i * m);
-        }
-        for i in 0..n {
-            for v in &mut self.data[i * m + n..(i + 1) * m] {
-                *v = 0.0;
-            }
-        }
-        self.rows = m;
-        self.cols = m;
-    }
-
     /// Maximum absolute entry-wise difference to another matrix.
     ///
     /// # Panics
@@ -461,23 +426,6 @@ mod tests {
     fn display_not_empty() {
         let s = format!("{}", Matrix::identity(2));
         assert!(s.contains("1.0000"));
-    }
-
-    #[test]
-    fn grow_square_preserves_entries_and_zero_fills() {
-        let mut m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        m.grow_square(2);
-        assert_eq!(m.rows(), 4);
-        assert_eq!(m.cols(), 4);
-        let want = Matrix::from_rows(&[
-            &[1.0, 2.0, 0.0, 0.0],
-            &[3.0, 4.0, 0.0, 0.0],
-            &[0.0, 0.0, 0.0, 0.0],
-            &[0.0, 0.0, 0.0, 0.0],
-        ]);
-        assert_eq!(m, want);
-        m.grow_square(0);
-        assert_eq!(m, want);
     }
 
     #[test]
