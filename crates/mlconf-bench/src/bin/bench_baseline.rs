@@ -8,11 +8,15 @@
 //! - `extend_vs_refit`: full GP refit vs incremental `extend` of one
 //!   point at n = 80 and n = 200 (the acceptance bar is ≥5× at 200).
 //! - `hyperopt`: `fit_optimized` wall time sequential (`set_threads(1)`)
-//!   vs the default thread count at n = 60 and n = 200. On a single-core
-//!   box these tie, and the n = 200 acceptance value is `null` with a
-//!   reason rather than a pass: there is nothing to parallelize over, so
-//!   the speedup bar cannot be measured (correctness is bit-identical by
-//!   construction and tests either way).
+//!   vs the default thread count at n = 60 and n = 200, timed in
+//!   interleaved pairs that alternate which side runs first, so both
+//!   sides of a pair meet the same host load. The speedup is the median
+//!   of the per-pair ratios, with their quartiles beside it. On a
+//!   single-core box the sides tie, and the n = 200 acceptance value is
+//!   `null` with a reason rather than a pass: there is nothing to
+//!   parallelize over, so the speedup bar cannot be measured
+//!   (correctness is bit-identical by construction and tests either
+//!   way).
 //! - `predict_many`: per-point posterior cost at batch 1 / 64 (the chunk
 //!   acquisition scoring uses) / 256 / 4096.
 //! - `sparse`: the E16 surrogate-at-scale numbers — regret parity of
@@ -121,35 +125,58 @@ fn extend_vs_refit(n: usize) -> String {
 }
 
 /// Times sequential vs auto-threaded `fit_optimized` at history size
-/// `n`; returns the JSON entry plus the measured speedup.
-fn hyperopt_timing(n: usize, reps: usize) -> (String, f64) {
+/// `n` in `pairs` interleaved pairs, alternating which side runs first;
+/// returns the JSON entry plus the median per-pair speedup.
+fn hyperopt_timing(n: usize, pairs: usize) -> (String, f64) {
     let (xs, ys) = training_data(n);
     let template = Kernel::new(KernelFamily::Matern52, DIMS);
     let time_with = |threads: usize| {
         set_threads(threads);
-        median_secs(reps, || {
-            let mut rng = Pcg64::seed(2);
-            let opts = HyperoptOptions::default();
-            std::hint::black_box(
-                fit_optimized(&template, &xs, &ys, &opts, &mut rng).expect("hyperopt"),
-            );
-        })
+        let mut rng = Pcg64::seed(2);
+        let start = Instant::now();
+        std::hint::black_box(
+            fit_optimized(&template, &xs, &ys, &HyperoptOptions::default(), &mut rng)
+                .expect("hyperopt"),
+        );
+        start.elapsed().as_secs_f64()
     };
-    let sequential = time_with(1);
-    let parallel = time_with(0);
+    let (mut sequential, mut parallel, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..pairs {
+        let (seq, par) = if pair % 2 == 0 {
+            (time_with(1), time_with(0))
+        } else {
+            let par = time_with(0);
+            (time_with(1), par)
+        };
+        sequential.push(seq);
+        parallel.push(par);
+        ratios.push(seq / par);
+    }
+    set_threads(0);
+    // Rank quartiles of the sorted readings.
+    let quartiles = |v: &mut Vec<f64>| {
+        v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        [v[v.len() / 4], v[v.len() / 2], v[3 * v.len() / 4]]
+    };
+    let [_, sequential, _] = quartiles(&mut sequential);
+    let [_, parallel, _] = quartiles(&mut parallel);
+    let [q1, speedup, q3] = quartiles(&mut ratios);
     let threads = auto_threads();
-    let speedup = sequential / parallel;
     println!(
-        "hyperopt n={n}: sequential {:.1} ms, auto ({threads} threads) {:.1} ms ({speedup:.2}x)",
+        "hyperopt n={n}: sequential {:.1} ms, auto ({threads} threads) {:.1} ms; \
+         per-pair speedup {speedup:.2}x (quartiles {q1:.2}-{q3:.2}x, {pairs} pairs)",
         sequential * 1e3,
         parallel * 1e3
     );
     let entry = format!(
-        "{{\"n\": {n}, \"auto_threads\": {threads}, \"sequential_secs\": {}, \
-         \"parallel_secs\": {}, \"speedup\": {}}}",
+        "{{\"n\": {n}, \"auto_threads\": {threads}, \"pairs\": {pairs}, \
+         \"sequential_secs\": {}, \"parallel_secs\": {}, \"speedup\": {}, \
+         \"speedup_q1\": {}, \"speedup_q3\": {}}}",
         json_num(sequential),
         json_num(parallel),
-        json_num(speedup)
+        json_num(speedup),
+        json_num(q1),
+        json_num(q3)
     );
     (entry, speedup)
 }
@@ -347,8 +374,8 @@ fn main() {
     let host_cores = auto_threads();
     let extend_small = extend_vs_refit(80);
     let extend_large = extend_vs_refit(200);
-    let (hyperopt_small, _) = hyperopt_timing(60, 5);
-    let (hyperopt_large, hyperopt_speedup) = hyperopt_timing(200, 3);
+    let (hyperopt_small, _) = hyperopt_timing(60, 9);
+    let (hyperopt_large, hyperopt_speedup) = hyperopt_timing(200, 9);
     let predict = predict_many_timing();
     let (sparse_scaling, suggest_bounded) = sparse_suggest_scaling();
     let (parity, parity_ok) = sparse_regret_parity();

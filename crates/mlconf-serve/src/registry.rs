@@ -28,10 +28,12 @@
 //!
 //! Shard assignment is a pure function of the id, so a restart with a
 //! different shard count simply migrates each session's files to the
-//! directory the new hash assigns (including journals from the
-//! pre-sharding flat layout). Sessions left in the older three-file
-//! layout (a `.hist` archive plus a journal opening with a `base`
-//! marker) are converted to one whole journal in the same pass.
+//! directory the new hash assigns. `shard-<k>/<id>.jsonl` plus
+//! `<id>.snap` is the only layout read: a journal directly under the
+//! journal directory (the pre-sharding flat layout) or a `.hist` archive
+//! in a shard directory (the older compacting layout) makes
+//! [`SessionRegistry::open`] fail with the file named, rather than
+//! leave that session unserved.
 //!
 //! Recovery is two-tier. Every state transition is journaled before it
 //! is acknowledged, and the journal is never rewritten, so a full
@@ -48,7 +50,7 @@ use crate::api::{
     spec_from_json, spec_to_json, tagged_num, ApiError, SessionSpec,
 };
 use crate::journal::{fsync_dir, Journal, JournalOp};
-use crate::json::{obj, parse, Json};
+use crate::json::{obj, Json};
 use crate::snapshot::{self, SessionFiles, SnapshotData};
 use mlconf_tuners::drift::{DriftConfig, DriftCtl};
 use mlconf_tuners::factory::build_tuner;
@@ -57,7 +59,7 @@ use mlconf_tuners::tuner::Tuner;
 use mlconf_util::hash::fnv1a;
 use mlconf_workloads::tunespace::default_config;
 use std::collections::HashMap;
-use std::io::{BufRead as _, Write as _};
+use std::io::BufRead as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -152,9 +154,6 @@ pub struct ServedSession {
     core: AskTellSession<'static>,
     journal: Journal,
     files: SessionFiles,
-    /// Total journaled operations (create included): the session state
-    /// equals replaying the journal's first `seq` records.
-    seq: u64,
     /// Operations journaled since the last installed checkpoint.
     ops_since_snapshot: u64,
     /// Checkpoint every N operations; 0 disables snapshots.
@@ -288,11 +287,10 @@ impl ServedSession {
     }
 
     /// Bookkeeping after a successful journal-append + state advance:
-    /// bumps the stream position and installs a checkpoint every
-    /// `snapshot_every` operations. Checkpoint failures are logged and
-    /// swallowed — a missed snapshot only costs restart speed.
+    /// installs a checkpoint every `snapshot_every` operations.
+    /// Checkpoint failures are logged and swallowed — a missed snapshot
+    /// only costs restart speed.
     fn after_op(&mut self) {
-        self.seq += 1;
         self.ops_since_snapshot += 1;
         if self.snapshot_every > 0 && self.ops_since_snapshot >= self.snapshot_every {
             if let Err(e) = self.snapshot_now() {
@@ -318,7 +316,6 @@ impl ServedSession {
             return Ok(false);
         };
         let data = SnapshotData {
-            seq: self.seq,
             offset: self.journal.end(),
             spec: self.spec.clone(),
             session: self.core.resume_state(),
@@ -355,7 +352,6 @@ impl ServedSession {
                     self.last_report = key.map(|k| (k, report_response(&self.core, trial)));
                 }
             }
-            self.seq += 1;
             self.ops_since_snapshot += 1;
         }
         Ok(())
@@ -486,7 +482,6 @@ fn revive(
                 core,
                 journal,
                 files,
-                seq: snap.seq,
                 ops_since_snapshot: 0,
                 snapshot_every,
                 last_report: snap.last_report,
@@ -507,7 +502,6 @@ fn revive(
                 core,
                 journal,
                 files,
-                seq: 1,
                 // A full replay means the checkpoint (if any) was
                 // unusable; the next journaled operation installs a
                 // fresh one.
@@ -597,15 +591,17 @@ impl SessionRegistry {
     /// found there. Sessions are *parked*, not replayed: the first
     /// touch revives each one (snapshot-first, full replay as
     /// fallback), so startup cost is directory-entry scale regardless
-    /// of journal lengths. Files from a previous shard count — or the
-    /// pre-sharding flat layout — are migrated into the directory the
-    /// current hash assigns, and sessions in the older archive layout
-    /// are converted to one journal. A journal without one complete
-    /// record belongs to a `create` that never answered; its files are
-    /// removed, and its id stays reserved.
+    /// of journal lengths. Files from a previous shard count are
+    /// migrated into the directory the current hash assigns. A journal
+    /// without one complete record belongs to a `create` that never
+    /// answered; its files are removed, and its id stays reserved.
     ///
     /// # Errors
     ///
+    /// Fails with [`std::io::ErrorKind::InvalidData`], naming the file
+    /// and touching none, on a layout this build does not read — a
+    /// `*.jsonl` directly under `journal_dir` or a `*.hist` in a shard
+    /// directory — and on a journal `s<n>` with no id after `n` left.
     /// Propagates failure to create, scan, or migrate the directories
     /// themselves.
     pub fn open(journal_dir: &Path, config: RegistryConfig) -> std::io::Result<Self> {
@@ -624,10 +620,14 @@ impl SessionRegistry {
             std::fs::create_dir_all(&shard.dir)?;
         }
 
-        // Discover session journals wherever a previous layout left
-        // them: the flat (pre-sharding) root and every shard-* dir,
-        // current shard count or not.
-        let mut scan_dirs: Vec<PathBuf> = vec![journal_dir.to_owned()];
+        // Discover the journals in every shard-* dir, current shard
+        // count or not, refusing what this build does not read before
+        // touching a file.
+        let refuse = |path: &Path, what: &str| {
+            let message = format!("{}: {what}, which this build does not read", path.display());
+            std::io::Error::new(std::io::ErrorKind::InvalidData, message)
+        };
+        let mut scan_dirs = Vec::new();
         for entry in std::fs::read_dir(journal_dir)? {
             let p = entry?.path();
             let shard_named = p
@@ -636,48 +636,52 @@ impl SessionRegistry {
                 .is_some_and(|n| n.starts_with("shard-"));
             if p.is_dir() && shard_named {
                 scan_dirs.push(p);
+            } else if p.extension().is_some_and(|x| x == "jsonl") {
+                return Err(refuse(&p, "a journal of the pre-sharding flat layout"));
             }
         }
-        let mut next_id = 1;
-        for dir in scan_dirs {
-            let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)?
+        let mut journals = Vec::new();
+        let mut next_id = 1u64;
+        for dir in &scan_dirs {
+            let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
                 .filter_map(|e| e.ok().map(|e| e.path()))
-                .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
                 .collect();
             paths.sort();
             for path in paths {
-                let id = match path.file_stem().and_then(|s| s.to_str()) {
-                    Some(stem) => stem.to_owned(),
-                    None => continue,
+                let ext = path.extension().and_then(|x| x.to_str());
+                if ext == Some("hist") {
+                    return Err(refuse(&path, "an archive of the older compacting layout"));
+                }
+                let (Some("jsonl"), Some(id)) = (ext, path.file_stem().and_then(|s| s.to_str()))
+                else {
+                    continue;
                 };
                 // Reserve the id whether or not the session ever
                 // revives, so a new session never truncates an existing
                 // (possibly corrupt, possibly evidence-bearing) journal.
                 if let Some(n) = id.strip_prefix('s').and_then(|n| n.parse::<u64>().ok()) {
-                    next_id = next_id.max(n + 1);
+                    let after = n.checked_add(1);
+                    next_id = next_id.max(after.ok_or_else(|| refuse(&path, "the largest id"))?);
                 }
-                let k = (fnv1a(id.as_bytes()) % nshards as u64) as usize;
-                migrate_session_files(&id, &dir, &shards[k].dir)?;
-                if let Err(e) = convert_legacy_layout(&shards[k].dir, &id) {
-                    // The old files stay as they are: the session parks,
-                    // its revival fails, and the next open retries.
-                    eprintln!("mlconf-serve: converting session {id}'s old layout failed: {e}");
-                } else {
-                    let files = SessionFiles::new(&shards[k].dir, &id);
-                    if let Ok(false) = holds_a_record(&files.journal) {
-                        // Never acknowledged: `create` answers once its record is fsynced.
-                        eprintln!("mlconf-serve: removing session {id}: its create never landed");
-                        files.remove_all();
-                        continue;
-                    }
-                }
-                shards[k]
-                    .inner
-                    .get_mut()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .parked
-                    .insert(id);
+                journals.push((dir, id.to_owned()));
             }
+        }
+        for (dir, id) in journals {
+            let k = (fnv1a(id.as_bytes()) % nshards as u64) as usize;
+            migrate_session_files(&id, dir, &shards[k].dir)?;
+            let files = SessionFiles::new(&shards[k].dir, &id);
+            if let Ok(false) = holds_a_record(&files.journal) {
+                // Never acknowledged: `create` answers once its record is fsynced.
+                eprintln!("mlconf-serve: removing session {id}: its create never landed");
+                files.remove_all();
+                continue;
+            }
+            shards[k]
+                .inner
+                .get_mut()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .parked
+                .insert(id);
         }
         let max_live_per_shard = if config.max_sessions == 0 {
             usize::MAX
@@ -773,17 +777,21 @@ impl SessionRegistry {
     ///
     /// # Errors
     ///
-    /// Returns 400 for invalid specs, 500 for journal I/O failures.
+    /// Returns 400 for invalid specs, 500 for journal I/O failures and
+    /// once no session id is left.
     pub fn create(&self, body: &Json) -> Result<Json, ServeError> {
         let spec = spec_from_json(body)?;
         let (tuner, core) = machinery(&spec);
         // Atomic id allocation keeps ids unique without any global lock;
-        // a failed journal create burns the id, which is harmless.
-        let id = format!(
-            "s{}",
-            self.next_id
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        );
+        // a failed journal create burns the id, which is harmless. It
+        // never wraps: an id that came round again would truncate that
+        // session's journal.
+        let order = std::sync::atomic::Ordering::Relaxed;
+        let n = self
+            .next_id
+            .fetch_update(order, order, |n| n.checked_add(1))
+            .map_err(|_| ServeError::internal("no session id is left"))?;
+        let id = format!("s{n}");
         let shard = self.shard_of(&id);
         let files = SessionFiles::new(&shard.dir, &id);
         let mut journal = Journal::create(files.journal.clone())
@@ -800,7 +808,6 @@ impl SessionRegistry {
             core,
             journal,
             files,
-            seq: 1,
             ops_since_snapshot: 0,
             snapshot_every: self.snapshot_every,
             last_report: None,
@@ -896,23 +903,19 @@ fn holds_a_record(journal: &Path) -> std::io::Result<bool> {
     Ok(first.last() == Some(&b'\n'))
 }
 
-/// Moves one session's files from wherever a previous layout left them
-/// to the directory the current shard hash assigns. The checkpoint (and
-/// an old layout's archive) move first and the journal last: the
-/// journal's location is the commit point discovery keys on, so a crash
-/// mid-migration simply re-runs it (at worst orphaning a stale
-/// checkpoint, which recovery falls past via full replay).
+/// Moves one session's files from the shard directory a previous shard
+/// count assigned to the one the current hash assigns. The checkpoint
+/// moves first and the journal last: the journal's location is the
+/// commit point discovery keys on, so a crash mid-migration simply
+/// re-runs it (at worst orphaning a stale checkpoint, which recovery
+/// falls past via full replay).
 fn migrate_session_files(id: &str, from: &Path, to: &Path) -> std::io::Result<()> {
     if from == to {
         return Ok(());
     }
     let src = SessionFiles::new(from, id);
     let dst = SessionFiles::new(to, id);
-    for (s, d) in [
-        (src.snap, dst.snap),
-        (legacy_archive(from, id), legacy_archive(to, id)),
-        (src.journal, dst.journal),
-    ] {
+    for (s, d) in [(src.snap, dst.snap), (src.journal, dst.journal)] {
         if s.exists() {
             std::fs::rename(s, d)?;
         }
@@ -922,72 +925,12 @@ fn migrate_session_files(id: &str, from: &Path, to: &Path) -> std::io::Result<()
     Ok(())
 }
 
-/// The `.hist` archive of the older layout, in which a checkpoint also
-/// rewrote the journal to a `{"op":"base","seq":N}` marker and moved the
-/// N records before it into the archive.
-fn legacy_archive(dir: &Path, id: &str) -> PathBuf {
-    dir.join(format!("{id}.hist"))
-}
-
-/// Converts a session left in the older layout into one whole journal:
-/// the archive's first N records, then the journal's records after its
-/// `base` marker, installed by temp file, fsync, rename and directory
-/// fsync before the archive is removed. A journal without the marker is
-/// already whole — its archive is a stray from a crash after that
-/// rename, or mid-compaction — so the archive is only removed. The
-/// older `.snap` records no offset, so revival ignores it and replays
-/// the journal once.
-fn convert_legacy_layout(dir: &Path, id: &str) -> std::io::Result<()> {
-    let archive = legacy_archive(dir, id);
-    if !archive.exists() {
-        return Ok(());
-    }
-    let journal = SessionFiles::new(dir, id).journal;
-    let records = std::fs::read(&journal)?;
-    let head_len = records
-        .iter()
-        .position(|&b| b == b'\n')
-        .map_or(records.len(), |i| i + 1);
-    let head = std::str::from_utf8(&records[..head_len])
-        .ok()
-        .and_then(|line| parse(line.trim_end()).ok())
-        .filter(|v| v.get("op").and_then(Json::as_str) == Some("base"));
-    if let Some(head) = head {
-        let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-        let base = head
-            .get("seq")
-            .and_then(Json::as_i64)
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or_else(|| bad("base marker without a valid seq".into()))?;
-        // A crash mid-compaction can leave the archive holding more
-        // than `base` records; the journal holds those too.
-        let archived = std::fs::read(&archive)?;
-        let prefix: usize = archived
-            .split_inclusive(|&b| b == b'\n')
-            .take(base)
-            .map(<[u8]>::len)
-            .sum();
-        let complete = archived[..prefix].iter().filter(|&&b| b == b'\n').count();
-        if complete < base {
-            return Err(bad(format!(
-                "archive holds {complete} records, need {base}"
-            )));
-        }
-        let tmp = journal.with_extension("jsonl.tmp");
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&archived[..prefix])?;
-        f.write_all(&records[head_len..])?;
-        f.sync_data()?;
-        std::fs::rename(&tmp, &journal)?;
-        fsync_dir(dir)?;
-    }
-    std::fs::remove_file(&archive)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::journal::read_journal;
+    use crate::json::parse;
+    use std::io::Write as _;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -1381,9 +1324,8 @@ mod tests {
         drive(&registry, &id, 5);
         let files = registry.files_for(&id);
         assert!(files.snap.exists());
-        // Plant temp files as a crashed checkpoint would leave them.
+        // Plant a temp file as a crashed checkpoint would leave it.
         std::fs::write(files.snap.with_extension("snap.tmp"), b"partial").unwrap();
-        std::fs::write(files.journal.with_extension("jsonl.tmp"), b"partial").unwrap();
         assert!(registry.delete(&id));
         // The whole journal tree is clean of this session.
         let leftovers: Vec<String> = walk_files(&dir)
@@ -1417,8 +1359,12 @@ mod tests {
     #[test]
     fn corrupt_journal_parks_but_never_revives() {
         let dir = tmpdir("corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("s1.jsonl"), "garbage\n{\"op\":\"suggest\"}\n").unwrap();
+        std::fs::create_dir_all(dir.join("shard-0")).unwrap();
+        std::fs::write(
+            dir.join("shard-0").join("s1.jsonl"),
+            "garbage\n{\"op\":\"suggest\"}\n",
+        )
+        .unwrap();
         let registry = SessionRegistry::open(&dir, RegistryConfig::new(0)).unwrap();
         // Discovery parks s1; the first touch fails and leaves it parked.
         assert_eq!(registry.list(), vec!["s1".to_owned()]);
@@ -1428,6 +1374,68 @@ mod tests {
         let created = registry.create(&create_body("random", 2, 1)).unwrap();
         assert_eq!(created.get("id").unwrap().as_str(), Some("s2"));
         assert!(registry.files_for("s1").journal.exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_refuses_an_older_layout_naming_the_file() {
+        let record = b"{\"op\":\"suggest\"}\n";
+        for (tag, name, layout) in [
+            ("flat", "s1.jsonl", "pre-sharding flat layout"),
+            ("hist", "shard-0/s1.hist", "older compacting layout"),
+        ] {
+            let dir = tmpdir(&format!("refuse_{tag}"));
+            let file = dir.join(name);
+            std::fs::create_dir_all(file.parent().unwrap()).unwrap();
+            std::fs::write(&file, record).unwrap();
+            let err = SessionRegistry::open(&dir, RegistryConfig::new(0))
+                .err()
+                .expect("an older layout opened");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{tag}");
+            let message = err.to_string();
+            assert!(
+                message.contains(&file.display().to_string()) && message.contains(layout),
+                "{tag}: {message}"
+            );
+            assert_eq!(std::fs::read(&file).unwrap(), record, "{tag}: file touched");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn session_ids_neither_overflow_nor_wrap() {
+        let config = RegistryConfig {
+            snapshot_every: 0,
+            shards: 1,
+            max_sessions: 0,
+        };
+        let dir = tmpdir("id_space");
+        let shard = dir.join("shard-0");
+        std::fs::create_dir_all(&shard).unwrap();
+        // A journal holding the largest id leaves none for a new session.
+        let last = shard.join(format!("s{}.jsonl", u64::MAX));
+        std::fs::write(&last, "garbage\n").unwrap();
+        let err = SessionRegistry::open(&dir, config.clone())
+            .err()
+            .expect("an id with no successor opened");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains(&last.display().to_string()),
+            "{err}"
+        );
+        std::fs::remove_file(&last).unwrap();
+
+        // Two ids below it: the next create takes the last id left, and
+        // the one after is refused instead of wrapping round to `s1`.
+        std::fs::write(shard.join(format!("s{}.jsonl", u64::MAX - 2)), "garbage\n").unwrap();
+        let registry = SessionRegistry::open(&dir, config).unwrap();
+        let created = registry.create(&create_body("random", 2, 1)).unwrap();
+        let id = format!("s{}", u64::MAX - 1);
+        assert_eq!(created.get("id").unwrap().as_str(), Some(id.as_str()));
+        let err = registry.create(&create_body("random", 2, 1)).unwrap_err();
+        assert_eq!(err.status, 500, "{err}");
+        assert_eq!(registry.list().len(), 2);
+        assert_eq!(walk_files(&dir).len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1473,181 +1481,6 @@ mod tests {
         assert_eq!(handle.lock().unwrap().core().history().len(), 3);
         assert_eq!(read_journal(&journal).unwrap().len(), 7);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A checkpoint re-framed as the older layout wrote it: no `offset`.
-    fn without_offset(snap: &[u8]) -> Vec<u8> {
-        let frame = parse(std::str::from_utf8(snap).unwrap().trim_end()).unwrap();
-        let Some(Json::Obj(mut fields)) = frame.get("data").cloned() else {
-            panic!("checkpoint frame without data")
-        };
-        fields.retain(|(k, _)| k != "offset");
-        let data = Json::Obj(fields).render();
-        let crc = fnv1a(data.as_bytes());
-        format!("{{\"crc\":\"{crc:016x}\",\"data\":{data}}}\n").into_bytes()
-    }
-
-    #[test]
-    fn checkpoint_with_the_older_stats_layout_revives_from_its_offset() {
-        // Before the session kept only its execution totals, a
-        // checkpoint's `stats` also held trial counts, the incumbent, the
-        // stop reason and drift counts, and the session a `best_seen`.
-        let dir = tmpdir("stats_layout");
-        let registry = SessionRegistry::open(&dir, RegistryConfig::new(0)).unwrap();
-        let created = registry.create(&create_body("bo", 12, 13)).unwrap();
-        let id = created.get("id").unwrap().as_str().unwrap().to_owned();
-        let ev = evaluator(13);
-        for _ in 0..4 {
-            assert!(step(&registry, &id, &ev));
-        }
-        let files = registry.files_for(&id);
-        let handle = registry.get(&id).unwrap();
-        assert!(handle.lock().unwrap().snapshot_now().unwrap());
-        let best = tagged_num(best_objective(handle.lock().unwrap().core()).unwrap());
-        assert!(step(&registry, &id, &ev));
-        let pending = handle.lock().unwrap().suggest().unwrap().render();
-        let status = handle.lock().unwrap().status_json().render();
-        drop((handle, registry));
-
-        // Re-frame the checkpoint in the older layout.
-        let frame = parse(std::fs::read_to_string(&files.snap).unwrap().trim_end()).unwrap();
-        let data = frame.get("data").unwrap();
-        let Some(Json::Obj(mut session)) = data.get("session").cloned() else {
-            panic!("checkpoint without a session object")
-        };
-        let stats = data.get("session").and_then(|s| s.get("stats")).unwrap();
-        let total = |key: &'static str| (key, stats.get(key).unwrap().clone());
-        let older_stats = obj([
-            ("started", Json::Num(4.0)),
-            ("completed", Json::Num(4.0)),
-            ("improvements", Json::Num(1.0)),
-            ("best_objective", best.clone()),
-            ("stop_reason", Json::Null),
-            total("timeouts"),
-            total("crashes"),
-            total("ooms"),
-            total("retries"),
-            total("wasted_machine_secs"),
-            total("backoff_secs"),
-            ("drift_events", Json::Num(0.0)),
-            ("retune_count", Json::Num(0.0)),
-        ]);
-        session.retain(|(k, _)| k != "best_seen");
-        let at = session.iter().position(|(k, _)| k == "wall_secs").unwrap() + 1;
-        session.insert(at, ("best_seen".to_owned(), best));
-        for (k, v) in &mut session {
-            if k == "stats" {
-                *v = older_stats.clone();
-            }
-        }
-        let Json::Obj(mut fields) = data.clone() else {
-            unreachable!("checkpoint data is an object")
-        };
-        for (k, v) in &mut fields {
-            if k == "session" {
-                *v = Json::Obj(session.clone());
-            }
-        }
-        let older = Json::Obj(fields).render();
-        let crc = fnv1a(older.as_bytes());
-        std::fs::write(
-            &files.snap,
-            format!("{{\"crc\":\"{crc:016x}\",\"data\":{older}}}\n"),
-        )
-        .unwrap();
-
-        let snap = snapshot::load(&files.snap).expect("the older layout loads");
-        assert_eq!(
-            Some(snap.offset as i64),
-            data.get("offset").and_then(Json::as_i64)
-        );
-        let mut revived =
-            revive(&id, files.clone(), Some(snap), 0).expect("revives from its offset");
-        assert_eq!(revived.status_json().render(), status);
-        assert_eq!(revived.suggest().unwrap().render(), pending);
-        drop(revived);
-        let mut replayed = revive(&id, files, None, 0).expect("full replay");
-        assert_eq!(replayed.status_json().render(), status);
-        assert_eq!(replayed.suggest().unwrap().render(), pending);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_layout_converts_to_one_journal_and_revives_bit_identically() {
-        // Reference: a BO session with snapshots off, checkpointed by
-        // hand once after record K, then left with a trial pending.
-        const K: usize = 5;
-        let src = tmpdir("legacy_src");
-        let registry = SessionRegistry::open(&src, RegistryConfig::new(0)).unwrap();
-        let created = registry.create(&create_body("bo", 6, 13)).unwrap();
-        let id = created.get("id").unwrap().as_str().unwrap().to_owned();
-        let ev = evaluator(13);
-        let files = registry.files_for(&id);
-        while read_journal(&files.journal).unwrap().len() < K {
-            assert!(step(&registry, &id, &ev));
-        }
-        let handle = registry.get(&id).unwrap();
-        assert!(handle.lock().unwrap().snapshot_now().unwrap());
-        let old_snap = without_offset(&std::fs::read(&files.snap).unwrap());
-        assert!(step(&registry, &id, &ev));
-        let pending = handle.lock().unwrap().suggest().unwrap().render();
-        let status = handle.lock().unwrap().status_json().render();
-        let whole = std::fs::read(&files.journal).unwrap();
-        drop((handle, registry));
-
-        let lines: Vec<&[u8]> = whole.split_inclusive(|&b| b == b'\n').collect();
-        let base = format!("{{\"op\":\"base\",\"seq\":{K}}}\n").into_bytes();
-        let compacted = [base.as_slice(), &lines[K..].concat()].concat();
-        // (label, flat root instead of a shard dir, archived records,
-        // journal): the older layout after a finished compaction, after
-        // a crash mid-compaction (archive topped up past the marker),
-        // and after a crash between the conversion's rename and the
-        // archive's removal (journal already whole).
-        let cases = [
-            ("compacted", false, K, compacted.clone()),
-            ("mid_compaction", false, K + 2, compacted.clone()),
-            ("renamed", false, K, whole.clone()),
-            ("flat", true, K, compacted),
-        ];
-        for (label, flat, archived, journal) in cases {
-            let dir = tmpdir(&format!("legacy_{label}"));
-            let old_dir = if flat {
-                dir.clone()
-            } else {
-                dir.join("shard-0")
-            };
-            std::fs::create_dir_all(&old_dir).unwrap();
-            std::fs::write(old_dir.join(format!("{id}.jsonl")), &journal).unwrap();
-            std::fs::write(
-                old_dir.join(format!("{id}.hist")),
-                lines[..archived].concat(),
-            )
-            .unwrap();
-            std::fs::write(old_dir.join(format!("{id}.snap")), &old_snap).unwrap();
-
-            let config = RegistryConfig {
-                snapshot_every: 0,
-                shards: if flat { 2 } else { 1 },
-                max_sessions: 0,
-            };
-            let registry = SessionRegistry::open(&dir, config).unwrap();
-            let stray: Vec<String> = walk_files(&dir)
-                .into_iter()
-                .filter(|name| name.ends_with(".hist") || name.ends_with(".tmp"))
-                .collect();
-            assert!(stray.is_empty(), "{label}: left behind {stray:?}");
-            assert_eq!(
-                std::fs::read(registry.files_for(&id).journal).unwrap(),
-                whole,
-                "{label}: converted journal differs from the uninterrupted one"
-            );
-            let handle = registry.get(&id).expect("converted session revives");
-            assert_eq!(handle.lock().unwrap().suggest().unwrap().render(), pending);
-            assert_eq!(handle.lock().unwrap().status_json().render(), status);
-            drop((handle, registry));
-            std::fs::remove_dir_all(&dir).ok();
-        }
-        std::fs::remove_dir_all(&src).ok();
     }
 
     #[test]

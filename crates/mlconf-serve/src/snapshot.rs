@@ -12,8 +12,12 @@
 //! - `<id>.jsonl` — the journal ([`crate::journal`]): every record since
 //!   `create`, only ever appended to or cut back to its last newline.
 //! - `<id>.snap` — the latest checkpoint, one checksummed JSON line
-//!   holding the state after the journal's first `seq` records and
-//!   `offset`, the journal's byte length just after record `seq`.
+//!   holding the session's state and `offset`, the journal's byte length
+//!   just after the last record that state covers.
+//!
+//! A `.snap` is a cache the journal can always rebuild, so [`load`]
+//! refuses one this build did not write — any key missing, added or
+//! spelled differently — and revival replays the journal instead.
 //!
 //! # Installation
 //!
@@ -28,8 +32,8 @@
 //!
 //! Revival loads the `.snap`, checks that its `offset` is a record
 //! boundary inside the journal, and replays only the records after it;
-//! a missing, torn, corrupt or rejected checkpoint falls back to
-//! replaying the journal from byte 0. A checkpoint restores
+//! a missing, torn, corrupt, foreign or rejected checkpoint falls back
+//! to replaying the journal from byte 0. A checkpoint restores
 //! bit-identically: the session resume state carries the driver RNG
 //! position and float accumulators through the tagged
 //! shortest-round-trip codec, and the tuner state round-trips through
@@ -73,14 +77,12 @@ impl SessionFiles {
     }
 
     /// Removes the session's files, plus any temp file a crashed
-    /// checkpoint or legacy-layout conversion left behind (session
-    /// deletion). Best-effort. The journal goes last: discovery keys on
-    /// it, so a crash part-way leaves the session listed, never a
-    /// checkpoint without its journal.
+    /// checkpoint left behind (session deletion). Best-effort. The
+    /// journal goes last: discovery keys on it, so a crash part-way
+    /// leaves the session listed, never a checkpoint without its journal.
     pub fn remove_all(&self) {
         std::fs::remove_file(self.snap.with_extension("snap.tmp")).ok();
         std::fs::remove_file(&self.snap).ok();
-        std::fs::remove_file(self.journal.with_extension("jsonl.tmp")).ok();
         std::fs::remove_file(&self.journal).ok();
     }
 }
@@ -88,12 +90,8 @@ impl SessionFiles {
 /// One full checkpoint of a served session.
 #[derive(Debug, Clone)]
 pub struct SnapshotData {
-    /// Number of journal operations (create included) this checkpoint
-    /// covers: the state equals replaying the journal's first `seq`
-    /// records.
-    pub seq: u64,
-    /// The journal's byte length just after record `seq`: revival
-    /// replays the records from here on.
+    /// The journal's byte length just after the last record this
+    /// checkpoint covers: revival replays the records from here on.
     pub offset: u64,
     /// The creating spec.
     pub spec: SessionSpec,
@@ -196,9 +194,6 @@ fn stop_reason_from_json(v: &Json, key: &str) -> Result<Option<StopReason>, ApiE
     }
 }
 
-/// Decodes the execution totals. Keys beyond the six are ignored: a
-/// checkpoint written before the session kept only these totals also
-/// carried trial counts, the incumbent, the stop reason and drift counts.
 fn exec_from_json(v: &Json) -> Result<ExecStats, ApiError> {
     Ok(ExecStats {
         timeouts: usize_field(v, "timeouts")?,
@@ -345,11 +340,9 @@ fn session_from_json(space: &ConfigSpace, v: &Json) -> Result<SessionResumeState
         None | Some(Json::Null) => None,
         Some(p) => Some(pending_from_json(space, p)?),
     };
-    // Absent (pre-drift snapshot) and explicit null both mean "no drift
-    // controller state".
-    let drift = match v.get("drift") {
-        None | Some(Json::Null) => None,
-        Some(d) => Some(drift_from_json(space, d)?),
+    let drift = match field(v, "drift")? {
+        Json::Null => None,
+        d => Some(drift_from_json(space, d)?),
     };
     Ok(SessionResumeState {
         history: history_from_json(space, field(v, "history")?)?,
@@ -457,7 +450,6 @@ pub fn snapshot_to_json(s: &SnapshotData) -> Json {
         obj([("key", Json::Str(k.clone())), ("response", resp.clone())])
     });
     obj([
-        ("seq", Json::Num(s.seq as f64)),
         ("offset", Json::Num(s.offset as f64)),
         ("spec", spec_to_json(&s.spec)),
         ("session", session_to_json(&s.session)),
@@ -485,7 +477,6 @@ pub fn snapshot_from_json(v: &Json) -> Result<SnapshotData, ApiError> {
         )),
     };
     Ok(SnapshotData {
-        seq: u64_field(v, "seq")?,
         offset: u64_field(v, "offset")?,
         session: session_from_json(&space, field(v, "session")?)?,
         tuner: tuner_state_from_json(&space, field(v, "tuner")?)?,
@@ -495,8 +486,9 @@ pub fn snapshot_from_json(v: &Json) -> Result<SnapshotData, ApiError> {
 }
 
 /// Loads and verifies a checkpoint file. Returns `None` — never an
-/// error — on a missing, torn, corrupt, or checksum-failing file:
-/// every such case falls back to full-journal replay.
+/// error — on a missing, torn, corrupt, or checksum-failing file, and
+/// on one this build did not write (its data does not re-encode to the
+/// same tree): every such case falls back to full-journal replay.
 pub fn load(path: &Path) -> Option<SnapshotData> {
     let content = std::fs::read_to_string(path).ok()?;
     let frame = parse(content.trim_end()).ok()?;
@@ -506,7 +498,8 @@ pub fn load(path: &Path) -> Option<SnapshotData> {
     if format!("{:016x}", fnv1a(rendered.as_bytes())) != crc {
         return None;
     }
-    snapshot_from_json(data).ok()
+    let snap = snapshot_from_json(data).ok()?;
+    (snapshot_to_json(&snap) == *data).then_some(snap)
 }
 
 /// Installs a checkpoint atomically: writes it to `<snap>.tmp`,
@@ -559,7 +552,6 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let spec = parse(r#"{"tuner":"random","budget":3,"seed":1}"#).unwrap();
         let data = SnapshotData {
-            seq: 3,
             offset: 120,
             spec: spec_from_json(&spec).unwrap(),
             session: mlconf_tuners::session::AskTellSession::new(3, 1).resume_state(),
@@ -590,6 +582,62 @@ mod tests {
         let crc = format!("{:016x}", fnv1a(old.as_bytes()));
         std::fs::write(&path, format!("{{\"crc\":\"{crc}\",\"data\":{old}}}\n")).unwrap();
         assert!(load(&path).is_none(), "a checkpoint without an offset");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn load_refuses_a_checkpoint_this_build_did_not_write() {
+        let dir = std::env::temp_dir().join(format!("mlconf_snap_foreign_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = parse(r#"{"tuner":"random","budget":3,"seed":1}"#).unwrap();
+        let data = SnapshotData {
+            offset: 120,
+            spec: spec_from_json(&spec).unwrap(),
+            session: mlconf_tuners::session::AskTellSession::new(3, 1).resume_state(),
+            tuner: TunerState::new(),
+            last_report: None,
+        };
+        let Json::Obj(fields) = snapshot_to_json(&data) else {
+            unreachable!("snapshot_to_json returns an object")
+        };
+        let Some((_, Json::Obj(session))) = fields.iter().find(|(k, _)| k == "session").cloned()
+        else {
+            unreachable!("the session encodes as an object")
+        };
+        let with_session = |session: Vec<(String, Json)>| {
+            let mut out = fields.clone();
+            for (k, v) in &mut out {
+                if k == "session" {
+                    *v = Json::Obj(session.clone());
+                }
+            }
+            out
+        };
+        // An earlier build's `seq`; a checkpoint from before drift state
+        // was kept; `stats` carrying a trial count beside the six totals.
+        let mut with_seq = vec![("seq".to_owned(), Json::Num(3.0))];
+        with_seq.extend(fields.iter().cloned());
+        let mut without_drift = session.clone();
+        without_drift.retain(|(k, _)| k != "drift");
+        let mut wider_stats = session.clone();
+        for (k, v) in &mut wider_stats {
+            if let (true, Json::Obj(stats)) = (k == "stats", v) {
+                stats.push(("completed".to_owned(), Json::Num(0.0)));
+            }
+        }
+        let path = dir.join("s1.snap");
+        for (label, foreign) in [
+            ("seq", with_seq),
+            ("drift-less", with_session(without_drift)),
+            ("wider stats", with_session(wider_stats)),
+        ] {
+            let foreign = Json::Obj(foreign).render();
+            let crc = format!("{:016x}", fnv1a(foreign.as_bytes()));
+            std::fs::write(&path, format!("{{\"crc\":\"{crc}\",\"data\":{foreign}}}\n")).unwrap();
+            assert!(load(&path).is_none(), "{label} checkpoint loaded");
+        }
+        install(&path, &data).unwrap();
+        assert!(load(&path).is_some(), "this build's checkpoint");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -180,6 +180,7 @@ impl std::error::Error for JsonError {}
 /// Returns a [`JsonError`] with the byte offset of the first problem.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -193,6 +194,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -353,12 +355,13 @@ impl Parser<'_> {
                 b if b < 0x20 => return Err(self.err("raw control character in string")),
                 _ => {
                     // Take the full UTF-8 character starting at the byte
-                    // just consumed; the input came from a `&str`, and
-                    // chars are always consumed whole, so this offset is
-                    // a character boundary.
+                    // just consumed: chars are always consumed whole, so
+                    // this offset is a character boundary.
                     let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..]).expect("input was a str");
-                    let c = s.chars().next().expect("peeked byte exists");
+                    let c = self.text[start..]
+                        .chars()
+                        .next()
+                        .expect("peeked byte exists");
                     self.pos = start + c.len_utf8();
                     out.push(c);
                 }
@@ -371,9 +374,12 @@ impl Parser<'_> {
         if end > self.bytes.len() {
             return Err(self.err("truncated unicode escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid unicode escape"))?;
-        let cp = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid unicode escape"))?;
+        // Exactly four hex digits: `from_str_radix` alone would also
+        // take a sign.
+        if !self.bytes[self.pos..end].iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err("invalid unicode escape"));
+        }
+        let cp = u32::from_str_radix(&self.text[self.pos..end], 16).expect("four hex digits");
         self.pos = end;
         Ok(cp)
     }
@@ -402,8 +408,9 @@ impl Parser<'_> {
                 return Err(self.err("expected exponent digits"));
             }
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        let n: f64 = s.parse().map_err(|_| self.err("number out of range"))?;
+        let n: f64 = self.text[start..self.pos]
+            .parse()
+            .map_err(|_| self.err("number out of range"))?;
         if n.is_finite() {
             Ok(Json::Num(n))
         } else {
@@ -504,5 +511,145 @@ mod tests {
         assert_eq!(Json::Num(3.0).render(), "3");
         assert_eq!(parse("3").unwrap().as_f64(), Some(3.0));
         assert_eq!(Json::Num(f64::INFINITY).render(), "null");
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u00e9\u00E9""#).unwrap().as_str(), Some("éé"));
+        for bad in [r#""\u+0e9""#, r#""\u-0e9""#, r#""\u0e9""#, r#""\u0é9""#] {
+            assert!(parse(bad).is_err(), "should reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn long_multibyte_strings_parse_in_linear_time() {
+        // 240 KB of two- and four-byte characters in one string: a
+        // parser that rescans the rest of the input per character takes
+        // seconds here.
+        let text = "é😀".repeat(40_000);
+        let doc = Json::Arr(vec![Json::Str(text.clone()), Json::Num(1.0)]).render();
+        assert!(doc.len() > 200_000);
+        let start = std::time::Instant::now();
+        let back = parse(&doc).unwrap();
+        let took = start.elapsed();
+        assert_eq!(back.as_arr().unwrap()[0].as_str(), Some(text.as_str()));
+        assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
+    }
+
+    /// `a == b` with every number compared by its bits.
+    fn same_bits(a: &Json, b: &Json) -> bool {
+        match (a, b) {
+            (Json::Num(x), Json::Num(y)) => x.to_bits() == y.to_bits(),
+            (Json::Arr(xs), Json::Arr(ys)) => {
+                xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_bits(x, y))
+            }
+            (Json::Obj(xs), Json::Obj(ys)) => {
+                xs.len() == ys.len()
+                    && xs
+                        .iter()
+                        .zip(ys)
+                        .all(|((kx, x), (ky, y))| kx == ky && same_bits(x, y))
+            }
+            _ => a == b,
+        }
+    }
+
+    /// A string over ASCII, the characters the renderer escapes, and
+    /// multibyte characters up to U+10FFFF.
+    fn random_string(rng: &mut crate::rng::SplitMix64) -> String {
+        const SPECIAL: [char; 10] = [
+            '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', '😀',
+        ];
+        (0..rng.next_u64() % 12)
+            .map(|_| {
+                let r = rng.next_u64();
+                match r % 3 {
+                    0 => char::from(b' ' + (r >> 8) as u8 % 95),
+                    1 => SPECIAL[(r >> 8) as usize % SPECIAL.len()],
+                    _ => char::from_u32((r >> 8) as u32 % 0x11_0000).unwrap_or('\u{fffd}'),
+                }
+            })
+            .collect()
+    }
+
+    /// A random tree: finite doubles of any bit pattern and small
+    /// integers, strings from [`random_string`], nested `depth` deep.
+    fn random_tree(rng: &mut crate::rng::SplitMix64, depth: usize) -> Json {
+        let r = rng.next_u64();
+        match r % if depth == 0 { 5 } else { 7 } {
+            0 => Json::Null,
+            1 => Json::Bool(r & 8 != 0),
+            2 => Json::Num(((r >> 8) % 2001) as f64 - 1000.0),
+            3 => loop {
+                let x = f64::from_bits(rng.next_u64());
+                if x.is_finite() {
+                    break Json::Num(x);
+                }
+            },
+            4 => Json::Str(random_string(rng)),
+            5 => Json::Arr(
+                (0..(r >> 8) % 5)
+                    .map(|_| random_tree(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..(r >> 8) % 5)
+                    .map(|_| (random_string(rng), random_tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// JSON-ish tokens, so arbitrary input reaches past the first byte.
+    const TOKENS: [&str; 24] = [
+        "{", "}", "[", "]", ",", ":", "\"", "\\", "\\u", "d83d", "dc00", "00e9", "0", "7", "-",
+        ".", "e+", "1e400", "true", "nul", " ", "é", "😀", "\n",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn generated_trees_round_trip_bit_exact(seed in 0u64..u64::MAX) {
+            let tree = random_tree(&mut crate::rng::SplitMix64::new(seed), 4);
+            let back = parse(&tree.render());
+            proptest::prop_assert!(
+                back.as_ref().is_ok_and(|b| same_bits(b, &tree)),
+                "{tree:?} came back as {back:?}"
+            );
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(0u8..=255, 0..512)) {
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn arbitrary_tokens_never_panic(
+            picks in proptest::collection::vec(0usize..TOKENS.len(), 0..96),
+        ) {
+            let doc: String = picks.iter().map(|&i| TOKENS[i]).collect();
+            let _ = parse(&doc);
+        }
+
+        #[test]
+        fn damaged_documents_never_panic(
+            seed in 0u64..u64::MAX,
+            at in 0usize..usize::MAX,
+            with in proptest::collection::vec(0u8..=255, 0..16),
+        ) {
+            let mut bytes = random_tree(&mut crate::rng::SplitMix64::new(seed), 4)
+                .render()
+                .into_bytes();
+            let at = at % (bytes.len() + 1);
+            // An empty overwrite truncates; otherwise the bytes replace
+            // (and may extend) the document from `at` on.
+            if with.is_empty() {
+                bytes.truncate(at);
+            } else {
+                bytes.splice(at..(at + with.len()).min(bytes.len()), with);
+            }
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+        }
     }
 }
