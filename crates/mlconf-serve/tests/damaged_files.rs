@@ -47,7 +47,6 @@ fn file(dir: &Path, id: &str, ext: &str) -> PathBuf {
 }
 
 /// One session as it lies on disk, with what revival must answer.
-#[derive(Clone)]
 struct Recorded {
     id: String,
     journal: Vec<u8>,
