@@ -1403,6 +1403,39 @@ mod tests {
     }
 
     #[test]
+    fn every_tuners_checkpoint_loads_back() {
+        // `snapshot::load` refuses data that does not re-encode to the
+        // same tree, so every tuner's checkpoint must be canonical or
+        // its sessions silently fall back to full replay.
+        let dir = tmpdir("canonical");
+        let registry = SessionRegistry::open(&dir, RegistryConfig::new(1)).unwrap();
+        let ev = evaluator(5);
+        let mut loaded = Vec::new();
+        for tuner in mlconf_tuners::factory::TUNER_NAMES
+            .into_iter()
+            .chain(["portfolio:bo,lhs"])
+        {
+            let created = registry.create(&create_body(tuner, 8, 5)).unwrap();
+            let id = created.get("id").unwrap().as_str().unwrap().to_owned();
+            for _ in 0..5 {
+                assert!(step(&registry, &id, &ev), "{tuner} finished early");
+            }
+            let snap = registry.files_for(&id).snap;
+            if snap.exists() {
+                assert!(
+                    snapshot::load(&snap).is_some(),
+                    "{tuner}: checkpoint refused"
+                );
+                loaded.push(tuner);
+            }
+        }
+        for tuner in ["bo", "random", "lhs", "grid", "anneal", "portfolio:bo,lhs"] {
+            assert!(loaded.contains(&tuner), "{tuner} wrote no checkpoint");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn session_ids_neither_overflow_nor_wrap() {
         let config = RegistryConfig {
             snapshot_every: 0,
