@@ -162,7 +162,7 @@ fn damaged(bytes: &[u8], kind: u8, at: usize, bit: u8, with: &[u8]) -> Vec<u8> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(1024))]
 
     #[test]
     fn damaged_checkpoint_revives_as_full_replay(
